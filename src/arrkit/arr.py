@@ -160,10 +160,3 @@ def align_series(
     """Inner-join two stamped series; returns (timestamps, a_values, b_values)."""
     common, ia, ib = np.intersect1d(ts_a, ts_b, return_indices=True)
     return common, np.asarray(vals_a)[ia], np.asarray(vals_b)[ib]
-
-
-def write_arr_csv(series: ArrSeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,arr\n")
-        for t, v in zip(series.timestamps.tolist(), series.values.tolist()):
-            fh.write(f"{t},{v!r}\n")

@@ -17,6 +17,7 @@ from .market_data import (
     RegimeSpec,
     SyntheticMarketConfig,
 )
+from .serialization import write_json
 
 SCHEMA_VERSION = 1
 
@@ -261,9 +262,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(config_to_dict(cfg), path)
 
 
 def config_hash(cfg: RunConfig) -> str:

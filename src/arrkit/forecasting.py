@@ -717,23 +717,3 @@ def write_trials_jsonl(trials, path) -> None:
                 "mean_score": t.mean_score,
                 "error": t.error,
             }) + "\n")
-
-
-def write_predictions_csv(path, timestamps, y_true, y_pred) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,target,prediction\n")
-        for t, a, b in zip(np.asarray(timestamps).tolist(),
-                           np.asarray(y_true).tolist(), np.asarray(y_pred).tolist()):
-            fh.write(f"{t},{a!r},{b!r}\n")
-
-
-def write_dataset_csv(dataset: ForecastDataset, path) -> None:
-    names = ",".join(dataset.feature_names)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"feature_time,target_time,{names},target\n")
-        for i in range(len(dataset)):
-            feats = ",".join(repr(v) for v in dataset.features[i].tolist())
-            fh.write(
-                f"{int(dataset.feature_times[i])},{int(dataset.target_times[i])},"
-                f"{feats},{dataset.target[i].item()!r}\n"
-            )

@@ -47,8 +47,12 @@ class SessionCalendar:
         _, o, c = self.sessions[session]
         return o, c
 
-    def subset(self, start: int, stop: int) -> "SessionCalendar":
-        return SessionCalendar(self.sessions[start:stop], self.excluded_dates)
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-second (timestamps, session_index) rows of every session, in order."""
+        opens = np.array([o for _, o, _ in self.sessions], dtype=np.int64)
+        timestamps = (opens[:, None] + np.arange(SESSION_SECONDS, dtype=np.int64)).ravel()
+        session_index = np.repeat(np.arange(self.n_sessions, dtype=np.int64), SESSION_SECONDS)
+        return timestamps, session_index
 
 
 def _date_open_epoch(date: dt.date) -> int:
@@ -368,12 +372,7 @@ def generate_synthetic_market_details(
     returns[offsets == 0, :] = 0.0
     prices = 100.0 * np.exp(np.cumsum(returns, axis=0))
 
-    dates = weekday_dates(config.start_date, s_count)
-    calendar = build_session_calendar(dates)
-    opens = np.array([o for _, o, _ in calendar.sessions], dtype=np.int64)
-    timestamps = np.repeat(opens, SESSION_SECONDS) + offsets
-    session_index = np.repeat(np.arange(s_count, dtype=np.int64), SESSION_SECONDS)
-
+    timestamps, session_index = synthetic_calendar(config).grid()
     panel = TickPanel(timestamps, prices, default_asset_ids(config.n_assets, config.market_composite), session_index)
     details = SyntheticDetails(loadings_lin, loadings_cub, share_path, window_vol)
     return panel, details
@@ -480,8 +479,5 @@ def load_tick_csv(path, calendar: SessionCalendar) -> TickPanel:
                 grid[off] = price
             prices[s * SESSION_SECONDS : (s + 1) * SESSION_SECONDS, j] = _forward_fill(grid)
 
-    opens = np.array([o for _, o, _ in calendar.sessions], dtype=np.int64)
-    offsets = np.tile(np.arange(SESSION_SECONDS, dtype=np.int64), n_sessions)
-    timestamps = np.repeat(opens, SESSION_SECONDS) + offsets
-    session_index = np.repeat(np.arange(n_sessions, dtype=np.int64), SESSION_SECONDS)
+    timestamps, session_index = calendar.grid()
     return TickPanel(timestamps, prices, asset_ids, session_index)

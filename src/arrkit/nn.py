@@ -180,6 +180,7 @@ def loss_and_grads(
         loss = fit_term(spec, out, y, z_out=z_last)
         d_z = (out - y) / b
 
+    fit = loss  # the data term, before penalties
     l1_total = 0.0
     if spec.l1_weight > 0:
         a_l1 = caches[spec.l1_layer][2]
@@ -202,7 +203,7 @@ def loss_and_grads(
         d_b = d_z.sum(axis=0)
         grads[i] = [d_w, d_b]
         d_upstream = d_z @ params[i][0].T
-    return loss, grads, {"fit": fit_term(spec, out, y, z_out=z_last), "l1": l1_total}
+    return loss, grads, {"fit": fit, "l1": l1_total}
 
 
 def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:

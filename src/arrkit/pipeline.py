@@ -12,6 +12,7 @@ import dataclasses
 import datetime as dt
 import json
 import os
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -34,7 +35,6 @@ from .market_data import (
     generate_synthetic_market,
     load_tick_csv,
     synthetic_calendar,
-    write_tick_csv,
 )
 from .pca import fit_pca
 from .returns_metrics import (
@@ -47,7 +47,7 @@ from .returns_metrics import (
     sample_price_series,
     winsorize,
 )
-from .serialization import load_autoencoder, load_pca, save_autoencoder, save_pca
+from .serialization import load_autoencoder, load_pca, save_autoencoder, save_pca, write_json
 from .stats import auroc, kde2d, paired_bootstrap, r_squared, spearman
 
 ANALYZE_METRICS = ("returns", "log_rv", "drawdown")
@@ -75,12 +75,6 @@ def stage_dir(out_dir, stage: str) -> str:
     return path
 
 
-def _dump_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def write_manifest(directory, stage: str, cfg: RunConfig, outputs, extra: dict | None = None):
     payload = {
         "stage": stage,
@@ -92,7 +86,7 @@ def write_manifest(directory, stage: str, cfg: RunConfig, outputs, extra: dict |
     }
     if extra:
         payload.update(extra)
-    _dump_json(payload, os.path.join(directory, "manifest.json"))
+    write_json(payload, os.path.join(directory, "manifest.json"))
     return payload
 
 
@@ -124,17 +118,23 @@ def _calendar_from_dict(data: dict) -> SessionCalendar:
 
 
 def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
-    """The tick panel a stage works on: generated artifacts, or the user's CSV."""
+    """The tick panel a stage works on: the generated panel.npz, or the user's CSV."""
     if cfg.data_source == "synthetic":
         data_dir = os.path.join(out_dir, "data")
-        ticks = os.path.join(data_dir, "ticks.csv")
+        panel_path = os.path.join(data_dir, "panel.npz")
         cal_path = os.path.join(data_dir, "calendar.json")
-        missing = [p for p in (ticks, cal_path) if not os.path.exists(p)]
+        missing = [p for p in (panel_path, cal_path) if not os.path.exists(p)]
         if missing:
             raise StageError("cmd_generate outputs missing", details={"missing": missing})
         with open(cal_path, "r", encoding="utf-8") as fh:
             calendar = _calendar_from_dict(json.load(fh))
-        return load_tick_csv(ticks, calendar), calendar
+        try:
+            with np.load(panel_path, allow_pickle=False) as data:
+                prices, asset_ids = data["prices"], tuple(data["asset_ids"].tolist())
+        except (zipfile.BadZipFile, KeyError) as exc:
+            raise StageError(f"malformed {panel_path}: {exc}") from exc
+        timestamps, session_index = calendar.grid()
+        return TickPanel(timestamps, prices, asset_ids, session_index), calendar
     dates = [dt.date.fromisoformat(d) for d in cfg.csv_dates]
     half = [dt.date.fromisoformat(d) for d in cfg.csv_half_days]
     calendar = build_session_calendar(dates, half)
@@ -173,19 +173,26 @@ def _selected_sources(cfg: RunConfig) -> tuple[str, ...]:
 
 
 def cmd_generate(cfg: RunConfig, out_dir) -> dict:
-    """Write the synthetic tick panel, its calendar, and the data manifest."""
+    """Write the synthetic panel's prices and asset ids (panel.npz), its calendar, and the
+    data manifest. The timestamps and session index are rebuilt from the calendar."""
     if cfg.data_source != "synthetic":
         raise StageError("generate requires a synthetic data source")
     directory = stage_dir(out_dir, "data")
     panel = generate_synthetic_market(cfg.synthetic)
     calendar = synthetic_calendar(cfg.synthetic)
-    write_tick_csv(panel, os.path.join(directory, "ticks.csv"))
-    _dump_json(_calendar_to_dict(calendar), os.path.join(directory, "calendar.json"))
+    # uncompressed: random doubles barely compress; zip entries carry a fixed date, so
+    # the file is byte-identical from run to run
+    np.savez(
+        os.path.join(directory, "panel.npz"),
+        prices=panel.prices,
+        asset_ids=np.array(panel.asset_ids),
+    )
+    write_json(_calendar_to_dict(calendar), os.path.join(directory, "calendar.json"))
     return write_manifest(
         directory,
         "data",
         cfg,
-        ["ticks.csv", "calendar.json"],
+        ["calendar.json", "panel.npz"],
         extra={
             "asset_ids": list(panel.asset_ids),
             "n_assets": panel.n_assets,
@@ -637,7 +644,7 @@ def cmd_forecast(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
 
     directory = stage_dir(out_dir, "forecast")
     _write_results_csv(rows, os.path.join(directory, "results.csv"))
-    _dump_json({"cells": rows}, os.path.join(directory, "results.json"))
+    write_json({"cells": rows}, os.path.join(directory, "results.json"))
     return write_manifest(
         directory,
         "forecast",
@@ -726,6 +733,6 @@ def cmd_report(cfg: RunConfig, out_dir) -> dict:
         },
     }
     directory = stage_dir(out_dir, "report")
-    _dump_json(report, os.path.join(directory, "report.json"))
+    write_json(report, os.path.join(directory, "report.json"))
     write_manifest(directory, "report", cfg, ["report.json"])
     return report

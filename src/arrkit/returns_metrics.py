@@ -366,21 +366,3 @@ def winsorize(values: np.ndarray, lower: float = 0.01, upper: float = 0.99) -> n
         raise ValueError("need 0 <= lower < upper <= 1")
     lo, hi = np.percentile(v, [100.0 * lower, 100.0 * upper])
     return np.clip(v, lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def write_risk_csv(series: RiskSeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,value\n")
-        for t, v in zip(series.timestamps.tolist(), series.values.tolist()):
-            fh.write(f"{t},{v!r}\n")
-
-
-def write_crash_csv(labels: CrashLabels, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,label,zscore\n")
-        for t, l, z in zip(labels.timestamps.tolist(), labels.labels.tolist(), labels.zscores.tolist()):
-            fh.write(f"{t},{l},{z!r}\n")

@@ -1,4 +1,4 @@
-"""Versioned JSON persistence for trained models.
+"""Versioned JSON persistence for trained models, and the one JSON file writer.
 
 Arrays are stored as nested lists; Python's repr-based float serialization makes the
 round trip bit-exact. Every file carries a format_version and a kind tag so loaders can
@@ -16,6 +16,14 @@ from .nn import DenseNet
 from .pca import PcaModel
 
 FORMAT_VERSION = 1
+
+
+def write_json(payload, path) -> None:
+    """Key-sorted, one-space-indented JSON plus a trailing newline: the layout of every
+    model, config, manifest and result file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _params_to_lists(params):
@@ -38,9 +46,7 @@ def save_autoencoder(model: AutoencoderModel, path, metadata: dict | None = None
         "asset_ids": list(model.asset_ids),
         "metadata": metadata or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_autoencoder(path) -> tuple[AutoencoderModel, dict]:
@@ -67,9 +73,7 @@ def save_pca(model: PcaModel, path, metadata: dict | None = None) -> None:
         "n_components": model.n_components,
         "metadata": metadata or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_pca(path) -> tuple[PcaModel, dict]:

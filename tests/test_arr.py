@@ -11,7 +11,6 @@ from arrkit.arr import (
     pca_reconstruction,
     smooth_arr,
     steps_per_session,
-    write_arr_csv,
 )
 from arrkit.market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK, SESSION_SECONDS
 from arrkit.pca import fit_pca
@@ -208,19 +207,3 @@ def test_align_series_inner_join():
     np.testing.assert_array_equal(vb, [20.0, 40.0])
     empty, _, _ = align_series(np.array([1]), np.array([0.0]), np.array([2]), np.array([0.0]))
     assert len(empty) == 0
-
-
-def test_arr_csv_round_trip(tmp_path):
-    series = compute_arr(_result(seed=8), FIVE_MIN)
-    path = tmp_path / "out.csv"
-    write_arr_csv(series, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "timestamp,arr"
-    assert len(lines) == 79
-    stamps, vals = [], []
-    for line in lines[1:]:
-        t, v = line.split(",")
-        stamps.append(int(t))
-        vals.append(float(v))
-    np.testing.assert_array_equal(stamps, series.timestamps)
-    np.testing.assert_array_equal(vals, series.values)

@@ -7,11 +7,18 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
+import arrkit.pipeline
 from arrkit.cli import main
 from arrkit.config import RunConfig, SplitSpec, save_config
-from arrkit.market_data import CoMovementSpec, RegimeSpec, SyntheticMarketConfig
+from arrkit.market_data import (
+    CoMovementSpec,
+    RegimeSpec,
+    SyntheticMarketConfig,
+    generate_synthetic_market,
+)
 
 VERBS = ("generate", "train", "arr", "analyze", "forecast", "report")
 FREQ_NAMES = ("5min", "1hour", "1day", "1week")
@@ -79,18 +86,25 @@ def _md5(path):
         return hashlib.md5(fh.read()).hexdigest()
 
 
+def _refuse_csv(*args, **kwargs):
+    raise AssertionError("load_tick_csv called on a synthetic run")
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
-    """One full six-verb pipeline run shared by the assertion tests below."""
+    """One full six-verb pipeline run shared by the assertion tests below. A synthetic
+    run reads data/panel.npz, so the CSV loader fails if any verb calls it."""
     root = tmp_path_factory.mktemp("cli")
     out = str(root / "run")
     cfg = _full_config(out)
     cfg_path = _save(cfg, str(root))
     stdout = {}
-    for verb in VERBS:
-        rc, text, err = _run([verb, "--config", cfg_path])
-        assert rc == 0, f"{verb} exited {rc}: {err}"
-        stdout[verb] = text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrkit.pipeline, "load_tick_csv", _refuse_csv)
+        for verb in VERBS:
+            rc, text, err = _run([verb, "--config", cfg_path])
+            assert rc == 0, f"{verb} exited {rc}: {err}"
+            stdout[verb] = text
     return {"out": out, "cfg": cfg, "cfg_path": cfg_path, "stdout": stdout}
 
 
@@ -129,20 +143,34 @@ def test_stage_stdout_summaries(run):
 
 def test_generate_outputs(run):
     data_dir = os.path.join(run["out"], "data")
-    lines = _read_lines(os.path.join(data_dir, "ticks.csv"))
-    assert lines[0] == "timestamp,asset_id,price"
-    stamp, asset, price = lines[1].split(",")
-    assert stamp.isdigit()
-    assert float(price) > 0
-    assert asset
+    with open(os.path.join(data_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["outputs"] == ["calendar.json", "panel.npz"]
+    with np.load(os.path.join(data_dir, "panel.npz"), allow_pickle=False) as panel:
+        assert sorted(panel.files) == ["asset_ids", "prices"]
+        prices, asset_ids = panel["prices"], panel["asset_ids"].tolist()
+    assert prices.dtype == np.float64
+    assert prices.shape == (16 * 23400, 6)
+    assert np.all(prices > 0)
+    assert asset_ids == manifest["asset_ids"]
     with open(os.path.join(data_dir, "calendar.json"), "r", encoding="utf-8") as fh:
         calendar = json.load(fh)
     assert len(calendar["sessions"]) == 16
-    with open(os.path.join(data_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
     assert manifest["n_assets"] == 6
     assert manifest["n_rows"] == 16 * 23400  # price grid rows per asset
-    assert len(lines) - 1 == manifest["n_rows"] * manifest["n_assets"]  # long format
+    assert len(prices) == manifest["n_rows"]
+
+
+def test_synthetic_run_reads_the_panel_file_not_a_csv(run, monkeypatch):
+    # every verb of the shared run exited 0 with the CSV loader refusing (see `run`)
+    monkeypatch.setattr(arrkit.pipeline, "load_tick_csv", _refuse_csv)
+    panel, calendar = arrkit.pipeline.load_panel(run["cfg"], run["out"])
+    expected = generate_synthetic_market(run["cfg"].synthetic)
+    assert np.array_equal(panel.prices.view(np.uint64), expected.prices.view(np.uint64))
+    assert np.array_equal(panel.timestamps, expected.timestamps)
+    assert np.array_equal(panel.session_index, expected.session_index)
+    assert panel.asset_ids == expected.asset_ids
+    assert calendar.n_sessions == 16
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +306,9 @@ def test_generate_is_deterministic_and_seed_sensitive(tmp_path):
     # Same config, fresh directory via --out: byte-identical data.
     rc, _, _ = _run(["generate", "--config", path_a, "--out", str(tmp_path / "b")])
     assert rc == 0
-    ticks_a = _md5(str(tmp_path / "a" / "data" / "ticks.csv"))
-    ticks_b = _md5(str(tmp_path / "b" / "data" / "ticks.csv"))
-    assert ticks_a == ticks_b
+    panel_a = _md5(str(tmp_path / "a" / "data" / "panel.npz"))
+    panel_b = _md5(str(tmp_path / "b" / "data" / "panel.npz"))
+    assert panel_a == panel_b
 
     # --seed overrides the run seed (training, searches, bootstraps); the panel
     # noise is governed by the synthetic block's own seed and stays put.
@@ -288,7 +316,7 @@ def test_generate_is_deterministic_and_seed_sensitive(tmp_path):
         "generate", "--config", path_a, "--out", str(tmp_path / "c"), "--seed", "99",
     ])
     assert rc == 0
-    assert _md5(str(tmp_path / "c" / "data" / "ticks.csv")) == ticks_a
+    assert _md5(str(tmp_path / "c" / "data" / "panel.npz")) == panel_a
 
     cfg_d = _tiny_config(str(tmp_path / "d"))
     cfg_d = dataclasses.replace(
@@ -296,7 +324,26 @@ def test_generate_is_deterministic_and_seed_sensitive(tmp_path):
     )
     path_d = _save(cfg_d, str(tmp_path), "d.json")
     assert _run(["generate", "--config", path_d])[0] == 0
-    assert _md5(str(tmp_path / "d" / "data" / "ticks.csv")) != ticks_a
+    assert _md5(str(tmp_path / "d" / "data" / "panel.npz")) != panel_a
+
+
+def test_damaged_panel_file_is_reported(tmp_path):
+    cfg_path = _save(_tiny_config(str(tmp_path / "run")), str(tmp_path))
+    assert _run(["generate", "--config", cfg_path])[0] == 0
+    path = tmp_path / "run" / "data" / "panel.npz"
+    path.write_bytes(path.read_bytes()[:1000])  # truncated mid-file
+    rc, _, err = _run(["train", "--config", cfg_path])
+    assert rc == 1
+    error = _error_payload(err)
+    assert error["type"] == "StageError"
+    assert "panel.npz" in error["message"]
+
+    os.remove(path)
+    rc, _, err = _run(["train", "--config", cfg_path])
+    assert rc == 1
+    error = _error_payload(err)
+    assert error["message"] == "cmd_generate outputs missing"
+    assert error["details"]["missing"] == [str(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from arrkit.forecasting import (
     fit_ridge,
     oversample_minority,
     random_search_cv,
-    write_dataset_csv,
-    write_predictions_csv,
     write_trials_jsonl,
 )
 from arrkit.market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK
@@ -574,23 +572,3 @@ def test_trials_jsonl_round_trip(tmp_path):
         assert (row["error"] is None) == (trial.error is None)
         if trial.fold_scores:
             assert row["fold_scores"] == list(trial.fold_scores)
-
-
-def test_predictions_and_dataset_csv_headers(tmp_path):
-    ds = _reg_dataset(seed=20)
-    pred_path = tmp_path / "pred.csv"
-    write_predictions_csv(pred_path, ds.feature_times[:3], ds.target[:3], ds.target[:3] * 0.5)
-    lines = pred_path.read_text().splitlines()
-    assert lines[0] == "timestamp,target,prediction"
-    assert len(lines) == 4
-    t, a, b = lines[1].split(",")
-    assert float(b) == float(a) * 0.5
-
-    ds_path = tmp_path / "dataset.csv"
-    write_dataset_csv(ds, ds_path)
-    lines = ds_path.read_text().splitlines()
-    assert lines[0] == "feature_time,target_time,rv_5min,rv_1hour,rv_1day,target"
-    assert len(lines) == len(ds) + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == int(ds.feature_times[0])
-    assert float(first[-1]) == float(ds.target[0])

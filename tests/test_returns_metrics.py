@@ -24,8 +24,6 @@ from arrkit.returns_metrics import (
     sample_price_series,
     window_sums,
     winsorize,
-    write_crash_csv,
-    write_risk_csv,
 )
 
 from conftest import small_config
@@ -312,22 +310,6 @@ def test_risk_series_kind_validation():
         RiskSeries(np.array([1]), np.array([0.5]), "mystery", 300)
     with pytest.raises(ValueError):
         RiskSeries(np.array([1]), np.array([-0.5]), "drawdown", 300)  # negative drawdown
-
-
-def test_write_risk_csv_roundtrip(tmp_path):
-    series = RiskSeries(np.array([10, 20]), np.array([0.125, -3.5]), "return", 300)
-    path = tmp_path / "r.csv"
-    write_risk_csv(series, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "timestamp,value"
-    assert lines[1] == "10,0.125"
-
-
-def test_write_crash_csv(tmp_path):
-    labels = CrashLabels(np.array([5]), np.array([1]), np.array([-2.0]), 10.0, -1.5)
-    path = tmp_path / "c.csv"
-    write_crash_csv(labels, path)
-    assert path.read_text().splitlines()[0] == "timestamp,label,zscore"
 
 
 def test_asset_return_series(tiny_returns):
