@@ -10,8 +10,7 @@ reconstruction error. Hyperparameters come from random search over a fixed grid.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,14 +49,12 @@ def time_of_day(timestamps: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AeTrainConfig:
-    learning_rate: float = 1e-3
+class AeTrainConfig(TrainConfig):
+    """TrainConfig with the autoencoder's defaults, plus the bottleneck's L1 weight."""
+
     batch_size: int = 512
-    dropout_rate: float = 0.0
-    l1_weight: float = 0.0
     clip_norm: float = 1.0
-    max_epochs: int = 100
-    patience: int = 5
+    l1_weight: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,6 @@ class AutoencoderModel:
         return self.denormalize(out)
 
 
-def _prepare(panel: ReturnsPanel, mean: np.ndarray, std: np.ndarray):
-    x_r = (panel.returns - mean) / std
-    tod = time_of_day(panel.timestamps)
-    return np.hstack([x_r, tod[:, None]]), x_r
-
-
 def train_autoencoder(
     train: ReturnsPanel,
     val: ReturnsPanel,
@@ -155,22 +146,14 @@ def train_autoencoder(
     if dead.size:
         raise ValueError(f"asset {train.asset_ids[dead[0]]!r} has constant training returns")
 
-    x_tr, y_tr = _prepare(train, mean, std)
-    x_val, y_val = _prepare(val, mean, std)
     net = build_ae_net(train.n_assets)
-    params = init_params(net, rng)
+    model = AutoencoderModel(net, init_params(net, rng), mean, std, train.asset_ids)
+    x_tr, x_val = (model.features(p.returns, p.timestamps) for p in (train, val))
+    # targets: the inputs without the time-of-day column, contiguous for fast row takes
+    y_tr, y_val = (np.ascontiguousarray(x[:, :-1]) for x in (x_tr, x_val))
     spec = LossSpec("mse", l1_weight=config.l1_weight, l1_layer=1)
-    nn_cfg = TrainConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_epochs=config.max_epochs,
-        patience=config.patience,
-        clip_norm=config.clip_norm,
-        dropout_rate=config.dropout_rate,
-    )
-    best_params, history = train_dense_net(net, params, x_tr, y_tr, x_val, y_val, spec, nn_cfg, rng)
-    model = AutoencoderModel(net=net, params=best_params, mean=mean, std=std, asset_ids=train.asset_ids)
-    return model, history
+    best_params, history = train_dense_net(net, model.params, x_tr, y_tr, x_val, y_val, spec, config, rng)
+    return replace(model, params=best_params), history
 
 
 def reconstruct_series(

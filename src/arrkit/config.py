@@ -271,3 +271,9 @@ def config_hash(cfg: RunConfig) -> str:
     payload.pop("output_dir", None)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def data_hash(cfg: RunConfig) -> str:
+    """SHA-256 of the data block alone: the source and its settings, not the run seed."""
+    canonical = json.dumps(config_to_dict(cfg)["data"], sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -247,10 +247,6 @@ class SyntheticMarketConfig:
                                  "(the share process supersedes loading/idio scaling)")
 
 
-def single_regime(n_sessions: int, loading_scale: float = 1.0, idio_vol: float = 1.0) -> tuple[RegimeSpec, ...]:
-    return (RegimeSpec(0, n_sessions, loading_scale, idio_vol),)
-
-
 def default_asset_ids(n_assets: int, market_composite: bool) -> tuple[str, ...]:
     width = max(2, len(str(n_assets)))
     if market_composite:

@@ -1,15 +1,17 @@
 """Minimal dense-network engine: explicit forward/backward, Adam, gradient checking.
 
 Everything is float64 numpy. Networks are described by a static layer-dimension tuple plus
-per-layer activation names; parameters live outside the network object so training can
-snapshot/restore them cheaply. Input dropout is the inverted kind (mask pre-scaled by
-1/(1-rate)) and is applied to the raw input vector only, never at inference.
+per-layer activation names. The weights and biases live in one flat vector (each layer's
+row-major W, then its b) that training updates, clips and snapshots in a few vector ops; the
+[W, b] pairs that `forward`, the serializer and the models take are views into it. Input
+dropout is the inverted kind (mask pre-scaled by 1/(1-rate)) and is applied to the raw
+input vector only, never at inference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +38,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 _FORWARD = {"elu": elu, "relu": relu, "sigmoid": sigmoid, "identity": lambda z: z}
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "elu":
-        return np.where(z > 0, 1.0, a + 1.0)
+def _backprop_activation(name: str, d_a: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """d_a times the activation's derivative at z, where a is the activation."""
+    if name == "elu":  # 1 where z > 0, else a + 1: that is min(a, 0) + 1, with no z > 0 mask
+        return d_a * (np.minimum(a, 0.0) + 1.0)
     if name == "relu":
-        return (z > 0).astype(np.float64)
+        return d_a * (z > 0)
     if name == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
+        return d_a * (a * (1.0 - a))
+    return d_a
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,34 @@ class DenseNet:
 Params = list  # list of [W, b] pairs
 
 
+def param_views(net: DenseNet, flat: np.ndarray | None = None) -> tuple[np.ndarray, Params]:
+    """A flat parameter vector (zeros if none is given) and its [W, b] views."""
+    layers = list(zip(net.dims, net.dims[1:]))
+    if flat is None:
+        flat = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in layers))
+    params, lo = [], 0
+    for fan_in, fan_out in layers:
+        hi = lo + fan_in * fan_out
+        params.append([flat[lo:hi].reshape(fan_in, fan_out), flat[hi : hi + fan_out]])
+        lo = hi + fan_out
+    if lo != flat.size:
+        raise ValueError(f"need a flat vector of {lo} parameters, got {flat.size}")
+    return flat, params
+
+
+def flatten(params: Params) -> np.ndarray:
+    """A new flat vector holding params, in the layout of param_views."""
+    return np.concatenate([np.ravel(p) for pair in params for p in pair], dtype=np.float64)
+
+
 def init_params(net: DenseNet, rng: np.random.Generator) -> Params:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    params = []
-    for i in range(net.n_layers):
-        fan_in, fan_out = net.dims[i], net.dims[i + 1]
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, as views of one vector."""
+    _, params = param_views(net)
+    for w, _ in params:
+        fan_in, fan_out = w.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        params.append([w, np.zeros(fan_out)])
+        w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
     return params
-
-
-def copy_params(params: Params) -> Params:
-    return [[w.copy(), b.copy()] for w, b in params]
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
@@ -103,7 +121,8 @@ def forward(net: DenseNet, params: Params, x: np.ndarray, input_mask: np.ndarray
         a = a * input_mask
     caches = []
     for (w, b), act in zip(params, net.activations):
-        z = a @ w + b
+        z = a @ w
+        z += b
         a_next = _FORWARD[act](z)
         caches.append((a, z, a_next))
         a = a_next
@@ -157,27 +176,32 @@ def loss_and_grads(
     y: np.ndarray,
     spec: LossSpec,
     input_mask: np.ndarray | None = None,
+    grads: Params | None = None,
 ):
-    """Full-batch loss (fit + penalties) and its parameter gradients."""
+    """Full-batch loss (fit + penalties) and its parameter gradients, written into grads
+    ([dW, db] buffers, views of one flat vector) or into new ones when it is None."""
     out, caches = forward(net, params, x, input_mask)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
     b, d_out = out.shape
-    z_last = caches[-1][1]
+    last = net.n_layers - 1
+    if grads is None:
+        _, grads = param_views(net)
 
     if spec.kind == "mse":
-        loss = float(np.sum((out - y) ** 2) / (b * d_out))
-        d_a = 2.0 * (out - y) / (b * d_out)
-        if spec.l1_weight > 0 and spec.l1_layer == net.n_layers - 1:
-            d_a = d_a + spec.l1_weight * np.sign(out) / b
-        d_z = d_a * _activation_grad(net.activations[-1], z_last, out)
+        diff = out - y
+        loss = float(np.sum(diff * diff) / (b * d_out))
+        d_a = 2.0 * diff / (b * d_out)
+        if spec.l1_weight > 0 and spec.l1_layer == last:
+            d_a += spec.l1_weight * np.sign(out) / b
+        d_z = _backprop_activation(net.activations[-1], d_a, *caches[-1][1:])
     else:
         if net.activations[-1] != "sigmoid":
             raise ValueError("bce loss requires a sigmoid output layer")
-        if spec.l1_weight > 0 and spec.l1_layer == net.n_layers - 1:
+        if spec.l1_weight > 0 and spec.l1_layer == last:
             raise ValueError("l1 on the output layer is not supported for bce")
-        loss = fit_term(spec, out, y, z_out=z_last)
+        loss = fit_term(spec, out, y, z_out=caches[-1][1])
         d_z = (out - y) / b
 
     fit = loss  # the data term, before penalties
@@ -189,66 +213,52 @@ def loss_and_grads(
     if spec.l2_weight > 0:
         loss += spec.l2_weight * sum(float(np.sum(w * w)) for w, _ in params) / (2.0 * b)
 
-    grads = [None] * net.n_layers
-    for i in range(net.n_layers - 1, -1, -1):
+    for i in range(last, -1, -1):
         a_prev, z, a = caches[i]
-        if i < net.n_layers - 1:
-            d_a = d_upstream
+        if i < last:
+            d_a = d_z @ params[i + 1][0].T
             if spec.l1_weight > 0 and i == spec.l1_layer:
-                d_a = d_a + spec.l1_weight * np.sign(a) / b
-            d_z = d_a * _activation_grad(net.activations[i], z, a)
-        d_w = a_prev.T @ d_z
+                d_a += spec.l1_weight * np.sign(a) / b
+            d_z = _backprop_activation(net.activations[i], d_a, z, a)
+        d_w, d_b = grads[i]
+        np.matmul(a_prev.T, d_z, out=d_w)
         if spec.l2_weight > 0:
-            d_w = d_w + spec.l2_weight * params[i][0] / b
-        d_b = d_z.sum(axis=0)
-        grads[i] = [d_w, d_b]
-        d_upstream = d_z @ params[i][0].T
+            d_w += spec.l2_weight * params[i][0] / b
+        np.add.reduce(d_z, axis=0, out=d_b)
     return loss, grads, {"fit": fit, "l1": l1_total}
 
 
-def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:
-    """Rescale all gradients together so their joint L2 norm is at most max_norm."""
-    total = math.sqrt(sum(float(np.sum(g * g)) for pair in grads for g in pair))
+def clip_global_norm(flat: np.ndarray, bounds, max_norm: float) -> float:
+    """Scale a flat gradient in place so its L2 norm is at most max_norm; returns the
+    norm before clipping. The squares are summed per piece (flat[bounds[k]:bounds[k+1]],
+    each W and b) and the sums added in order: the norm rounds as for separate arrays."""
+    sq = flat * flat
+    total = math.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in zip(bounds, bounds[1:])))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        grads = [[w * scale, b * scale] for w, b in grads]
-    return grads, total
-
-
-@dataclass
-class AdamState:
-    m: Params = field(default_factory=list)
-    v: Params = field(default_factory=list)
-    t: int = 0
-
-    @classmethod
-    def like(cls, params: Params) -> "AdamState":
-        return cls(
-            m=[[np.zeros_like(w), np.zeros_like(b)] for w, b in params],
-            v=[[np.zeros_like(w), np.zeros_like(b)] for w, b in params],
-        )
+        flat *= max_norm / total
+    return total
 
 
 def adam_step(
-    params: Params,
-    grads: Params,
-    state: AdamState,
+    theta: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place Adam update with bias correction."""
-    state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        for j in range(2):
-            m[j] *= beta1
-            m[j] += (1.0 - beta1) * g[j]
-            v[j] *= beta2
-            v[j] += (1.0 - beta2) * g[j] * g[j]
-            p[j] -= lr * (m[j] / c1) / (np.sqrt(v[j] / c2) + eps)
+    """Adam step number t (from 1), with bias correction: updates theta and the moment
+    vectors m and v in place."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 class TrainingDiverged(RuntimeError):
@@ -281,14 +291,18 @@ def train_dense_net(
 ):
     """Minibatch Adam with early stopping on the penalty-free validation fit.
 
-    Returns (best_params, history); history rows carry epoch, mean train loss and
-    validation fit. The parameters from the best validation epoch are returned even when
-    the run exhausts max_epochs.
+    Trains a flat copy of params, which are left as they are. Returns (best_params,
+    history); history rows carry epoch, mean train loss and validation fit. The
+    parameters from the best validation epoch are returned even when the run exhausts
+    max_epochs.
     """
     n = x_train.shape[0]
-    state = AdamState.like(params)
+    theta, live = param_views(net, flatten(params))
+    g, grads = param_views(net)
+    bounds = np.cumsum([0] + [p.size for pair in grads for p in pair]).tolist()
+    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     best_fit = math.inf
-    best_params = copy_params(params)
+    best = theta.copy()
     bad_epochs = 0
     history = []
     for epoch in range(cfg.max_epochs):
@@ -296,18 +310,19 @@ def train_dense_net(
         epoch_losses = []
         for step, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            xb, yb = x_train.take(idx, axis=0), y_train.take(idx, axis=0)  # faster than x[idx]
             mask = None
             if cfg.dropout_rate > 0:
                 mask = dropout_mask(rng, xb.shape, cfg.dropout_rate)
-            loss, grads, _ = loss_and_grads(net, params, xb, yb, spec, input_mask=mask)
+            loss, _, _ = loss_and_grads(net, live, xb, yb, spec, input_mask=mask, grads=grads)
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
             if cfg.clip_norm is not None:
-                grads, _ = clip_global_norm(grads, cfg.clip_norm)
-            adam_step(params, grads, state, cfg.learning_rate)
+                clip_global_norm(g, bounds, cfg.clip_norm)
+            t += 1
+            adam_step(theta, g, m, v, t, cfg.learning_rate)
             epoch_losses.append(loss)
-        out_val, caches_val = forward(net, params, x_val)
+        out_val, caches_val = forward(net, live, x_val)
         val_fit = fit_term(spec, out_val, y_val, z_out=caches_val[-1][1])
         if not math.isfinite(val_fit):
             raise TrainingDiverged(epoch, -1)
@@ -316,13 +331,13 @@ def train_dense_net(
         )
         if val_fit < best_fit:
             best_fit = val_fit
-            best_params = copy_params(params)
+            best[:] = theta
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    return best_params, history
+    return param_views(net, best)[1], history
 
 
 def gradient_check(
@@ -335,20 +350,16 @@ def gradient_check(
     step: float = 1e-6,
 ) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    _, grads, _ = loss_and_grads(net, params, x, y, spec, input_mask=input_mask)
+    theta, live = param_views(net, flatten(params))
+
+    def loss_at(k: int, value: float) -> float:
+        theta[k] = value
+        return loss_and_grads(net, live, x, y, spec, input_mask=input_mask)[0]
+
+    analytic = flatten(loss_and_grads(net, live, x, y, spec, input_mask=input_mask)[1])
     worst = 0.0
-    for i, (w, b) in enumerate(params):
-        for j, arr in enumerate((w, b)):
-            flat = arr.ravel()
-            g_flat = grads[i][j].ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + step
-                up, _, _ = loss_and_grads(net, params, x, y, spec, input_mask=input_mask)
-                flat[k] = orig - step
-                down, _, _ = loss_and_grads(net, params, x, y, spec, input_mask=input_mask)
-                flat[k] = orig
-                numeric = (up - down) / (2.0 * step)
-                denom = max(1.0, abs(numeric) + abs(g_flat[k]))
-                worst = max(worst, abs(numeric - g_flat[k]) / denom)
+    for k, orig in enumerate(theta.tolist()):
+        numeric = (loss_at(k, orig + step) - loss_at(k, orig - step)) / (2.0 * step)
+        theta[k] = orig
+        worst = max(worst, abs(numeric - analytic[k]) / max(1.0, abs(numeric) + abs(analytic[k])))
     return worst

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arr import ArrSeries, align_series, compute_arr, pca_reconstruction, smooth_arr
 from .autoencoder import random_search_ae, reconstruct_series
-from .config import RunConfig, SCHEMA_VERSION, config_hash
+from .config import RunConfig, SCHEMA_VERSION, config_hash, data_hash
 from .forecasting import (
     FREQ_NAMES,
     FREQUENCIES,
@@ -123,9 +123,14 @@ def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
         data_dir = os.path.join(out_dir, "data")
         panel_path = os.path.join(data_dir, "panel.npz")
         cal_path = os.path.join(data_dir, "calendar.json")
-        missing = [p for p in (panel_path, cal_path) if not os.path.exists(p)]
+        manifest_path = os.path.join(data_dir, "manifest.json")
+        missing = [p for p in (panel_path, cal_path, manifest_path) if not os.path.exists(p)]
         if missing:
             raise StageError("cmd_generate outputs missing", details={"missing": missing})
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            hashes = {"expected": data_hash(cfg), "found": json.load(fh).get("data_hash")}
+        if hashes["found"] != hashes["expected"]:
+            raise StageError(f"{panel_path} is from a different data config", details=hashes)
         with open(cal_path, "r", encoding="utf-8") as fh:
             calendar = _calendar_from_dict(json.load(fh))
         try:
@@ -194,6 +199,7 @@ def cmd_generate(cfg: RunConfig, out_dir) -> dict:
         cfg,
         ["calendar.json", "panel.npz"],
         extra={
+            "data_hash": data_hash(cfg),
             "asset_ids": list(panel.asset_ids),
             "n_assets": panel.n_assets,
             "n_sessions": calendar.n_sessions,
@@ -464,16 +470,8 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
 
 
 def _subset_dataset(ds: ForecastDataset, idx: np.ndarray) -> ForecastDataset:
-    return ForecastDataset(
-        features=ds.features[idx],
-        target=ds.target[idx],
-        feature_names=ds.feature_names,
-        feature_times=ds.feature_times[idx],
-        target_times=ds.target_times[idx],
-        horizon=ds.horizon,
-        include_arr=ds.include_arr,
-        task=ds.task,
-    )
+    return dataclasses.replace(ds, features=ds.features[idx], target=ds.target[idx],
+                               feature_times=ds.feature_times[idx], target_times=ds.target_times[idx])
 
 
 def _forecast_cell(args) -> dict:

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .autoencoder import AutoencoderModel
-from .nn import DenseNet
+from .nn import DenseNet, flatten, param_views
 from .pca import PcaModel
 
 FORMAT_VERSION = 1
@@ -26,21 +26,13 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def _params_to_lists(params):
-    return [[w.tolist(), b.tolist()] for w, b in params]
-
-
-def _params_from_lists(data):
-    return [[np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)] for w, b in data]
-
-
 def save_autoencoder(model: AutoencoderModel, path, metadata: dict | None = None) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "autoencoder",
         "dims": list(model.net.dims),
         "activations": list(model.net.activations),
-        "params": _params_to_lists(model.params),
+        "params": [[w.tolist(), b.tolist()] for w, b in model.params],
         "mean": model.mean.tolist(),
         "std": model.std.tolist(),
         "asset_ids": list(model.asset_ids),
@@ -54,7 +46,7 @@ def load_autoencoder(path) -> tuple[AutoencoderModel, dict]:
     net = DenseNet(tuple(payload["dims"]), tuple(payload["activations"]))
     model = AutoencoderModel(
         net=net,
-        params=_params_from_lists(payload["params"]),
+        params=param_views(net, flatten(payload["params"]))[1],
         mean=np.array(payload["mean"], dtype=np.float64),
         std=np.array(payload["std"], dtype=np.float64),
         asset_ids=tuple(payload["asset_ids"]),

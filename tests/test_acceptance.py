@@ -70,6 +70,7 @@ def _session_grid(n_sessions: int):
 # 1. nonlinear factor recovery: autoencoder beats PCA out of sample
 
 
+@pytest.mark.slow
 def test_01_reconstruction_direction_autoencoder_beats_pca(verdict):
     t0 = time.monotonic()
     cfg = SyntheticMarketConfig(
@@ -289,6 +290,7 @@ def _forecast_rep(seed: int, vol_feedback: float, n_sessions: int = 14, fit_end:
     return p_values
 
 
+@pytest.mark.slow
 def test_06_planted_forecast_signal_detected_placebo_not(verdict):
     t0 = time.monotonic()
     planted = _forecast_rep(7, vol_feedback=0.8)
@@ -393,6 +395,7 @@ def _tree_files(root: str):
     return sorted(out)
 
 
+@pytest.mark.slow
 def test_08_pipeline_runs_are_byte_identical(tmp_path, verdict):
     t0 = time.monotonic()
     first = _run_pipeline(tmp_path, "first")

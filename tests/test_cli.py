@@ -346,6 +346,27 @@ def test_damaged_panel_file_is_reported(tmp_path):
     assert error["details"]["missing"] == [str(path)]
 
 
+def test_panel_from_another_synthetic_config_is_refused(tmp_path):
+    run_dir = str(tmp_path / "run")
+    cfg = _tiny_config(run_dir)
+    cfg = dataclasses.replace(cfg, synthetic=dataclasses.replace(cfg.synthetic, seed=0))
+    assert _run(["generate", "--config", _save(cfg, str(tmp_path))])[0] == 0
+    # a run seed override keeps the data config, so the panel is still the right one
+    ticks, _ = arrkit.pipeline.load_panel(dataclasses.replace(cfg, seed=11), run_dir)
+    assert ticks.n_rows == 3 * 23400
+
+    other = dataclasses.replace(cfg, synthetic=dataclasses.replace(cfg.synthetic, seed=99))
+    rc, out, err = _run(["train", "--config", _save(other, str(tmp_path), "other.json")])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    error = _error_payload(err)
+    assert error["type"] == "StageError"
+    assert "different data config" in error["message"]
+    with open(os.path.join(run_dir, "data", "manifest.json"), encoding="utf-8") as fh:
+        assert error["details"]["found"] == json.load(fh)["data_hash"]
+    assert error["details"]["expected"] != error["details"]["found"]
+
+
 # ---------------------------------------------------------------------------
 # errors
 

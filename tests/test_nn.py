@@ -5,22 +5,23 @@ import math
 import numpy as np
 import pytest
 
+import arrkit.nn as nn
 from arrkit.nn import (
-    AdamState,
     DenseNet,
     LossSpec,
     TrainConfig,
     TrainingDiverged,
     adam_step,
     clip_global_norm,
-    copy_params,
     dropout_mask,
     elu,
     fit_term,
+    flatten,
     forward,
     gradient_check,
     init_params,
     loss_and_grads,
+    param_views,
     relu,
     sigmoid,
     train_dense_net,
@@ -230,34 +231,44 @@ def test_gradients_bce_sigmoid_head_with_l2():
 
 
 def test_clip_global_norm_rescales_joint_norm():
-    grads = [[np.array([[3.0]]), np.array([4.0])]]
-    clipped, total = clip_global_norm(grads, 1.0)
+    flat = np.array([3.0, 4.0])  # a 1x1 W and a one-element b
+    total = clip_global_norm(flat, [0, 1, 2], 1.0)
     assert total == pytest.approx(5.0)
-    joint = math.sqrt(float(np.sum(clipped[0][0] ** 2)) + float(np.sum(clipped[0][1] ** 2)))
+    joint = math.sqrt(float(flat[0] ** 2) + float(flat[1] ** 2))
     assert joint == pytest.approx(1.0, rel=1e-15)
-    same, total2 = clip_global_norm(grads, 10.0)
+    np.testing.assert_array_equal(flat, [3.0 * (1.0 / 5.0), 4.0 * (1.0 / 5.0)])  # one in-place scale
+    same = np.array([3.0, 4.0])
+    total2 = clip_global_norm(same, [0, 1, 2], 10.0)
     assert total2 == pytest.approx(5.0)
-    np.testing.assert_array_equal(same[0][0], grads[0][0])
+    np.testing.assert_array_equal(same, [3.0, 4.0])
+
+
+def test_clip_global_norm_sums_squares_piece_by_piece():
+    # one float64 sum over the whole vector rounds differently from per-array sums
+    rng = np.random.default_rng(20)
+    pieces = [rng.normal(size=(12, 6)), rng.normal(size=6), rng.normal(size=(6, 2)), rng.normal(size=2)]
+    flat = np.concatenate([p.ravel() for p in pieces])
+    bounds = np.cumsum([0] + [p.size for p in pieces]).tolist()
+    total = clip_global_norm(flat, bounds, math.inf)
+    assert total == math.sqrt(sum(float(np.sum(p * p)) for p in pieces))
 
 
 def test_adam_step_matches_hand_arithmetic():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    params = [[np.array([[1.0]]), np.array([2.0])]]
-    state = AdamState.like(params)
-    g1 = [[np.array([[0.5]]), np.array([-0.25])]]
-    adam_step(params, g1, state, lr, b1, b2, eps)
+    theta = np.array([1.0, 2.0])
+    moment1, moment2 = np.zeros(2), np.zeros(2)
+    adam_step(theta, np.array([0.5, -0.25]), moment1, moment2, 1, lr, b1, b2, eps)
     # first step: m-hat = g, v-hat = g^2, so the update is lr * g / (|g| + eps)
-    assert params[0][0][0, 0] == pytest.approx(1.0 - lr * 0.5 / (0.5 + eps), rel=1e-15)
-    assert params[0][1][0] == pytest.approx(2.0 - lr * (-0.25) / (0.25 + eps), rel=1e-15)
-    assert state.t == 1
+    assert theta[0] == pytest.approx(1.0 - lr * 0.5 / (0.5 + eps), rel=1e-15)
+    assert theta[1] == pytest.approx(2.0 - lr * (-0.25) / (0.25 + eps), rel=1e-15)
     # second step recomputed from the published moment recursions
     g2 = 0.1
     m = b1 * (1 - b1) * 0.5 + (1 - b1) * g2
     v = b2 * (1 - b2) * 0.25 + (1 - b2) * g2 * g2
-    expected = params[0][0][0, 0] - lr * (m / (1 - b1**2)) / (math.sqrt(v / (1 - b2**2)) + eps)
-    adam_step(params, [[np.array([[g2]]), np.array([0.0])]], state, lr, b1, b2, eps)
-    assert params[0][0][0, 0] == pytest.approx(expected, rel=1e-15)
-    assert state.t == 2
+    expected = theta[0] - lr * (m / (1 - b1**2)) / (math.sqrt(v / (1 - b2**2)) + eps)
+    adam_step(theta, np.array([g2, 0.0]), moment1, moment2, 2, lr, b1, b2, eps)
+    assert theta[0] == pytest.approx(expected, rel=1e-15)
+    assert moment1[0] == pytest.approx(m, rel=1e-15) and moment2[0] == pytest.approx(v, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +330,7 @@ def test_training_is_deterministic_given_seed():
         runs.append((best, history))
     assert runs[0][1] == runs[1][1]
     for (w0, b0), (w1, b1) in zip(runs[0][0], runs[1][0]):
-        np.testing.assert_array_equal(w0, w1)
-        np.testing.assert_array_equal(b0, b1)
+        assert w0.tobytes() == w1.tobytes() and b0.tobytes() == b1.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -336,8 +346,67 @@ def test_training_diverged_reports_position():
         )
 
 
-def test_copy_params_is_deep():
-    params = [[np.ones((2, 2)), np.zeros(2)]]
-    dup = copy_params(params)
-    dup[0][0][0, 0] = 99.0
-    assert params[0][0][0, 0] == 1.0
+def _counting(monkeypatch, name, calls):
+    """Replace nn.<name> by a wrapper that records each call's positional arguments."""
+    inner = getattr(nn, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(nn, name, wrapper)
+
+
+def test_training_steps_through_the_module_globals(monkeypatch):
+    # the benchmark's tracer times a step from loss_and_grads to adam_step by these names
+    xt, yt, xv, yv = _linear_task(seed=14)
+    net = DenseNet((3, 2, 1), ("elu", "identity"))
+    params = init_params(net, np.random.default_rng(15))
+    cfg = TrainConfig(learning_rate=0.01, batch_size=64, max_epochs=3, patience=3, clip_norm=1.0)
+    grads_calls, adam_calls = [], []
+    _counting(monkeypatch, "loss_and_grads", grads_calls)
+    _counting(monkeypatch, "adam_step", adam_calls)
+    _, history = train_dense_net(net, params, xt, yt, xv, yv, LossSpec("mse"), cfg, np.random.default_rng(16))
+    steps = len(history) * math.ceil(len(xt) / cfg.batch_size)
+    assert len(history) == 3
+    assert len(grads_calls) == steps and len(adam_calls) == steps
+
+
+def test_trained_params_do_not_alias_the_training_buffer(monkeypatch):
+    xt, yt, xv, yv = _linear_task(seed=17)
+    net = DenseNet((3, 2, 1), ("elu", "identity"))
+    params = init_params(net, np.random.default_rng(18))
+    before = [p.copy() for pair in params for p in pair]
+    adam_calls = []
+    _counting(monkeypatch, "adam_step", adam_calls)
+    cfg = TrainConfig(learning_rate=0.02, batch_size=64, max_epochs=4, patience=4)
+    best, _ = train_dense_net(net, params, xt, yt, xv, yv, LossSpec("mse"), cfg, np.random.default_rng(19))
+    live = adam_calls[-1][0]
+    assert live.shape == flatten(params).shape
+    for w, b in best:
+        assert not np.shares_memory(w, live) and not np.shares_memory(b, live)
+    snapshot = [p.copy() for pair in best for p in pair]
+    live[:] = 99.0
+    for kept, now in zip(snapshot, (p for pair in best for p in pair)):
+        np.testing.assert_array_equal(kept, now)
+    # the caller's starting parameters are not trained in place
+    for start, now in zip(before, (p for pair in params for p in pair)):
+        np.testing.assert_array_equal(start, now)
+
+
+def test_param_views_lay_out_each_layer_as_w_then_b():
+    net = DenseNet((2, 3, 1), ("elu", "identity"))
+    flat = np.arange(13.0)
+    same, ((w1, b1), (w2, b2)) = param_views(net, flat)
+    assert same is flat
+    np.testing.assert_array_equal(w1, np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(b1, [6.0, 7.0, 8.0])
+    np.testing.assert_array_equal(w2, [[9.0], [10.0], [11.0]])
+    np.testing.assert_array_equal(b2, [12.0])
+    w2[1, 0] = -1.0
+    assert flat[10] == -1.0
+    np.testing.assert_array_equal(flatten([[w1, b1], [w2, b2]]), flat)
+    zeros, views = param_views(net)
+    assert zeros.shape == (13,) and not zeros.any() and views[1][0].base is zeros
+    with pytest.raises(ValueError, match="13 parameters"):
+        param_views(net, np.zeros(14))

@@ -221,6 +221,47 @@ def test_bootstrap_validation_and_one_class_observed():
         paired_bootstrap(np.arange(5.0), np.ones(5), np.ones(5), n_resamples=0)
 
 
+def _same_as_gathering(y, a, b, n_resamples, seed):
+    """metric="r2" scores resamples from row counts; r_squared as a callable gathers rows."""
+    fast = paired_bootstrap(y, a, b, metric="r2", n_resamples=n_resamples, seed=seed)
+    slow = paired_bootstrap(y, a, b, metric=r_squared, n_resamples=n_resamples, seed=seed)
+    assert fast.observed_diff == slow.observed_diff
+    assert fast.n_failing == slow.n_failing and fast.p_value == slow.p_value
+    np.testing.assert_allclose(fast.samples, slow.samples, rtol=0, atol=1e-12)
+    return fast
+
+
+# mean -15: a log realized-variance target; with std 1e-3 the uncentered one-pass sum of
+# squares would lose about eight digits to cancellation
+@pytest.mark.parametrize("mean,std", [(0.0, 1.0), (-15.0, 1.0), (-15.0, 1e-3)])
+def test_bootstrap_r2_from_row_counts_matches_gathered_rows(mean, std):
+    rng = np.random.default_rng(13)
+    y = mean + rng.normal(size=400) * std
+    a = y + rng.normal(size=400) * 0.70 * std
+    b = y + rng.normal(size=400) * 0.72 * std  # close models: both sides of zero get resamples
+    res = _same_as_gathering(y, a, b, n_resamples=300, seed=4)
+    assert 0 < res.n_failing < 300
+
+
+def test_bootstrap_r2_from_row_counts_pools_multi_output_rows():
+    rng = np.random.default_rng(14)
+    y = rng.normal(size=(50, 3))
+    _same_as_gathering(y, y + rng.normal(size=(50, 3)) * 0.5, y + rng.normal(size=(50, 3)) * 0.6, 200, 7)
+
+
+def test_bootstrap_r2_from_row_counts_redraws_constant_target_resamples():
+    y = np.array([0.0, 0.0, 0.1])
+    a = np.array([0.01, -0.02, 0.12])
+    b = np.array([0.03, 0.01, 0.05])
+    seed, n_resamples = 2, 40
+    # replay the draws: some resample takes only the two equal targets
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(0, 3, size=3) for _ in range(2 * n_resamples)]
+    assert any(np.unique(y[idx]).size == 1 for idx in draws[:n_resamples])
+    res = _same_as_gathering(y, a, b, n_resamples, seed)
+    assert np.all(np.isfinite(res.samples))
+
+
 def test_p_string_mid_range_formatting():
     res = BootstrapResult(0.1, 0.124, 500, 62, np.zeros(500))
     assert res.p_string() == "p=0.124"
