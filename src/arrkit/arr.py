@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK
+from .market_data import ONE_WEEK
 from .pca import PcaModel, pca_reconstruct
-from .returns_metrics import ReturnsPanel, ewm_stats, window_sums
+from .returns_metrics import ReturnsPanel, _check_interval, ewm_stats, window_sums
 
 ARR_SOURCES = ("autoencoder", "pca")
 
@@ -31,7 +31,6 @@ class ReconstructionResult:
     session_index: np.ndarray  # int64 [T]
     asset_ids: tuple[str, ...]
     source: str
-    interval: int = 1
 
     def __post_init__(self):
         if self.source not in ARR_SOURCES:
@@ -95,7 +94,6 @@ def pca_reconstruction(model: PcaModel, returns: ReturnsPanel) -> Reconstruction
         session_index=returns.session_index,
         asset_ids=returns.asset_ids,
         source="pca",
-        interval=returns.interval,
     )
 
 
@@ -111,12 +109,10 @@ def compute_arr(
     sq_err = np.einsum("ij,ij->i", err, err)
     sq_act = np.einsum("ij,ij->i", result.actual, result.actual)
     stamps, num, _ = window_sums(
-        sq_err, result.timestamps, result.session_index, result.interval, interval,
-        rolling_weekly=rolling_weekly,
+        sq_err, result.timestamps, result.session_index, interval, rolling_weekly=rolling_weekly
     )
     _, den, _ = window_sums(
-        sq_act, result.timestamps, result.session_index, result.interval, interval,
-        rolling_weekly=rolling_weekly,
+        sq_act, result.timestamps, result.session_index, interval, rolling_weekly=rolling_weekly
     )
     keep = den > 0
     return ArrSeries(
@@ -132,11 +128,8 @@ def compute_arr(
 
 def steps_per_session(interval: int, rolling: bool = False) -> float:
     """Observations of a windowed series per 6.5-hour session."""
-    if interval == ONE_WEEK:
-        return 1.0 if rolling else 0.2
-    if interval in (FIVE_MIN, ONE_HOUR, ONE_DAY) or 23400 % interval == 0:
-        return float(23400 // interval if interval != ONE_HOUR else 6)
-    raise ValueError(f"misaligned interval {interval}")
+    per = _check_interval(interval)
+    return 1.0 if rolling and interval == ONE_WEEK else float(per)
 
 
 def smooth_arr(series: ArrSeries, half_life_days: float) -> ArrSeries:

@@ -177,7 +177,6 @@ def reconstruct_series(
         session_index=panel.session_index,
         asset_ids=panel.asset_ids,
         source="autoencoder",
-        interval=panel.interval,
     )
 
 

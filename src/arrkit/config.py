@@ -12,7 +12,10 @@ import json
 from dataclasses import dataclass
 from datetime import date
 
+from .forecasting import FAMILIES
 from .market_data import (
+    ONE_WEEK,
+    WINDOWS,
     CoMovementSpec,
     RegimeSpec,
     SyntheticMarketConfig,
@@ -21,7 +24,7 @@ from .serialization import write_json
 
 SCHEMA_VERSION = 1
 
-DEFAULT_FREQUENCIES = (300, 3600, 23400, 117000)
+DEFAULT_FREQUENCIES = tuple(WINDOWS)
 DEFAULT_REGRESSION_FAMILIES = ("ridge", "gbdt", "mlp")
 DEFAULT_CLASSIFICATION_FAMILIES = ("logistic_l1", "gbdt", "mlp")
 
@@ -90,9 +93,8 @@ class RunConfig:
         for h in self.horizons:
             if h not in self.frequencies:
                 raise ValueError(f"horizon {h} not among configured frequencies")
-        known = {"ridge", "logistic_l1", "gbdt", "mlp"}
         for fam in self.regression_families + self.classification_families:
-            if fam not in known:
+            if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
         if "logistic_l1" in self.regression_families:
             raise ValueError("logistic_l1 is classification-only")
@@ -109,6 +111,12 @@ class RunConfig:
                 f"splits need {self.splits.n_sessions_needed} sessions, "
                 f"synthetic config generates {self.synthetic.n_sessions}"
             )
+        if self.synthetic is not None:
+            n_sessions = self.synthetic.n_sessions
+        else:
+            n_sessions = sum(d not in self.csv_half_days for d in self.csv_dates)
+        if ONE_WEEK in self.frequencies and n_sessions < 5:
+            raise ValueError(f"the 1-week frequency needs 5 sessions, the data has {n_sessions}")
 
     def resolved_analyze_source(self) -> str:
         if self.analyze_source is not None:

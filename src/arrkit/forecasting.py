@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arr import ArrSeries
-from .market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK
+from .market_data import ONE_WEEK, WINDOWS
 from .nn import (
     DenseNet,
     LossSpec,
@@ -31,8 +31,8 @@ from .nn import (
 from .returns_metrics import CrashLabels, RiskSeries
 from .stats import auroc, r_squared
 
-FREQUENCIES = (FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK)
-FREQ_NAMES = {FIVE_MIN: "5min", ONE_HOUR: "1hour", ONE_DAY: "1day", ONE_WEEK: "1week"}
+FREQUENCIES = tuple(WINDOWS)
+FREQ_NAMES = {window: name for window, (name, _) in WINDOWS.items()}
 FAMILIES = ("ridge", "logistic_l1", "gbdt", "mlp")
 
 

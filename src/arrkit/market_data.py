@@ -23,6 +23,14 @@ FIVE_MIN = 300
 ONE_HOUR = 3600
 ONE_DAY = SESSION_SECONDS
 ONE_WEEK = 5 * SESSION_SECONDS
+# The supported windows: seconds -> (name, windows per session). A session holds six
+# whole hours (its last half hour belongs to no hourly window); a week spans five sessions.
+WINDOWS = {
+    FIVE_MIN: ("5min", SESSION_SECONDS // FIVE_MIN),
+    ONE_HOUR: ("1hour", SESSION_SECONDS // ONE_HOUR),
+    ONE_DAY: ("1day", 1),
+    ONE_WEEK: ("1week", 0.2),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +433,6 @@ def load_tick_csv(path, calendar: SessionCalendar) -> TickPanel:
     """
     date_to_session = {d: i for i, (d, _, _) in enumerate(calendar.sessions)}
     excluded = set(calendar.excluded_dates)
-    per_asset: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
     raw: dict[str, list[tuple[int, int, float]]] = {}
 
     with open(path, "r", newline="", encoding="utf-8") as fh:

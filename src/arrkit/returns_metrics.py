@@ -1,12 +1,13 @@
 """Log returns, realized variance, drawdowns, EWMA statistics, crash labels, winsorization.
 
 Window conventions (shared by realized variance, reconstruction ratios and interval returns):
-windows have right edges at open + k*interval inside each session and never straddle
-sessions. A 6.5-hour session yields 78 five-minute windows, 6 complete hourly windows (the
-final 30 minutes belong to no hourly window), one daily window, and weekly windows span 5
-sessions (rolling for analysis/features, non-overlapping for targets). Coarse windows that
-are multiples of 5 minutes are computed by summing the 5-minute window sums over the same
-slices a re-aggregation check would use, so partition additivity is exact, not approximate.
+the four windows of `market_data.WINDOWS` (5 minutes, 1 hour, 1 day, 1 week) are the only
+ones, and they are summed from full sessions of one-second returns. Windows have right
+edges at open + k*interval inside each session and never straddle sessions. A 6.5-hour
+session yields 78 five-minute windows, 6 complete hourly windows (the final 30 minutes
+belong to no hourly window) and one daily window; weekly windows span 5 sessions (rolling
+for analysis/features, non-overlapping for targets). Every coarse window is the sum of its
+5-minute window sums, so re-aggregating the 5-minute sums is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .market_data import (
     ONE_DAY,
     ONE_WEEK,
     SESSION_SECONDS,
+    WINDOWS,
     TickPanel,
     session_slices,
 )
@@ -106,84 +108,69 @@ def window_sums(
     values: np.ndarray,
     timestamps: np.ndarray,
     session_index: np.ndarray,
-    base_interval: int,
     window: int,
     *,
     rolling_weekly: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum per-return `values` over aligned windows.
+    """Sum one-second `values` over every aligned window of a supported length.
 
-    values may be [T] or [T, N] (summed along time only). Returns (stamps, sums,
-    window_session) where stamps are window right-edge epochs and window_session is the
-    ordinal of the session the window ends in.
+    values may be [T] or [T, N] (summed along time only) on full sessions of one-second
+    returns. Returns (stamps, sums, window_session) where stamps are window right-edge
+    epochs and window_session is the ordinal of the session the window ends in.
     """
-    values = np.asarray(values)
-    if window < base_interval:
-        raise ValueError("window smaller than base interval")
-    slices = session_slices(session_index)
-    n_sessions = session_index[-1] + 1 if len(session_index) else 0
+    values = np.asarray(values, dtype=np.float64)
+    opens, sessions = _full_sessions(timestamps, session_index, first_offset=1)
+    stamps, ends = _window_edges(opens, window, rolling_weekly)
+    n, tail = len(opens), values.shape[1:]
+    # one trailing -0.0 per session makes 78 whole 5-minute buckets; x + -0.0 == x bitwise
+    grid = np.concatenate(
+        [values.reshape((n, SESSION_SECONDS - 1) + tail), np.full((n, 1) + tail, -0.0)], axis=1
+    )
+    per_day = SESSION_SECONDS // FIVE_MIN
+    fives = grid.reshape((n, per_day, FIVE_MIN) + tail).sum(axis=2)
+    if window == ONE_WEEK:
+        flat = fives.reshape((n * per_day,) + tail)
+        sums = np.array([flat[(e - 4) * per_day : (e + 1) * per_day].sum(axis=0) for e in ends])
+    else:
+        group, per = window // FIVE_MIN, WINDOWS[window][1]
+        sums = fives[:, : per * group].reshape((n * per, group) + tail).sum(axis=1)
+    return stamps, sums, sessions[ends]
 
-    if window >= ONE_WEEK:
-        if window != ONE_WEEK:
-            raise ValueError(f"misaligned interval {window}")
-        if n_sessions < 5:
+
+def _full_sessions(timestamps, session_index, first_offset):
+    """Open epochs and ordinals of full sessions on a one-second grid whose rows sit at
+    offsets first_offset..SESSION_SECONDS-1 from each open (1 for returns, 0 for prices)."""
+    offsets = np.arange(first_offset, SESSION_SECONDS)
+    n = len(timestamps) // len(offsets)
+    if n == 0 or n * len(offsets) != len(timestamps):
+        raise ValueError("incomplete session: expected a full 6.5-hour grid")
+    ts = np.reshape(timestamps, (n, -1))
+    si = np.reshape(session_index, (n, -1))
+    opens = ts[:, 0] - first_offset
+    grid_ok = np.all(ts == opens[:, None] + offsets)
+    if not grid_ok or np.any(si != si[:, :1]) or np.any(np.diff(si[:, 0]) <= 0):
+        raise ValueError("incomplete session: expected a full 6.5-hour grid")
+    return opens, si[:, 0]
+
+
+def _window_edges(opens, window, rolling_weekly):
+    """Right-edge epochs of every window over sessions opening at `opens`, and the
+    position of the session each window ends in."""
+    per = _check_interval(window)
+    n = len(opens)
+    if window == ONE_WEEK:
+        if n < 5:
             raise ValueError("interval larger than available data (need 5 sessions)")
-        day_stamps, day_sums, _ = window_sums(values, timestamps, session_index, base_interval, ONE_DAY)
-        if base_interval == 1:
-            # exact re-aggregation: weeks are sums of the 5-min window sums
-            _, fine, _ = window_sums(values, timestamps, session_index, base_interval, FIVE_MIN)
-            per_day = SESSION_SECONDS // FIVE_MIN
-        else:
-            fine, per_day = day_sums, 1
-        starts = range(4, int(n_sessions)) if rolling_weekly else range(4, int(n_sessions), 5)
-        stamps, sums, sess = [], [], []
-        for s in starts:
-            lo, hi = (s - 4) * per_day, (s + 1) * per_day
-            stamps.append(day_stamps[s])
-            sums.append(np.sum(fine[lo:hi], axis=0))
-            sess.append(s)
-        return (np.array(stamps, dtype=np.int64), np.array(sums), np.array(sess, dtype=np.int64))
-
-    if base_interval == 1 and window % FIVE_MIN == 0:
-        f_stamps, fives, f_sess = _session_window_sums(values, timestamps, slices, session_index, 1, FIVE_MIN)
-        if window == FIVE_MIN:
-            return f_stamps, fives, f_sess
-        group = window // FIVE_MIN
-        m_max = SESSION_SECONDS // window
-        stamps, sums, sess = [], [], []
-        f_slices = session_slices(f_sess)
-        for s, fsl in enumerate(f_slices):
-            open_epoch = int(f_stamps[fsl.start]) - FIVE_MIN
-            for m in range(1, m_max + 1):
-                lo = fsl.start + (m - 1) * group
-                stamps.append(open_epoch + m * window)
-                sums.append(np.sum(fives[lo : lo + group], axis=0))
-                sess.append(f_sess[fsl.start])
-        return (np.array(stamps, dtype=np.int64), np.array(sums), np.array(sess, dtype=np.int64))
-
-    return _session_window_sums(values, timestamps, slices, session_index, base_interval, window)
+        ends = np.arange(4, n, 1 if rolling_weekly else 5)
+        return opens[ends] + ONE_DAY, ends
+    return (opens[:, None] + window * np.arange(1, per + 1)).ravel(), np.repeat(np.arange(n), per)
 
 
-def _session_window_sums(values, timestamps, slices, session_index, base_interval, window):
-    if window > SESSION_SECONDS:
-        raise ValueError(f"misaligned interval {window}")
-    m_max = SESSION_SECONDS // window
-    per_session = SESSION_SECONDS - 1 if base_interval == 1 else SESSION_SECONDS // base_interval
-    stamps, sums, sess = [], [], []
-    for sl in slices:
-        if sl.stop - sl.start != per_session:
-            raise ValueError("incomplete session: expected a full 6.5-hour grid")
-        offs = timestamps[sl] - (int(timestamps[sl.start]) - base_interval)
-        open_epoch = int(timestamps[sl.start]) - base_interval
-        for m in range(1, m_max + 1):
-            lo = np.searchsorted(offs, (m - 1) * window, side="right")
-            hi = np.searchsorted(offs, m * window, side="right")
-            stamps.append(open_epoch + m * window)
-            sums.append(np.sum(values[sl.start + lo : sl.start + hi], axis=0))
-            sess.append(session_index[sl.start])
-    if not stamps:
-        raise ValueError("empty window set")
-    return (np.array(stamps, dtype=np.int64), np.array(sums), np.array(sess, dtype=np.int64))
+def _check_interval(window: int) -> float:
+    """Windows per session of a supported window length."""
+    if window not in WINDOWS:
+        raise ValueError(f"misaligned interval {window}: not 5 minutes, 1 hour, 1 day or 1 week")
+    return WINDOWS[window][1]
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +181,7 @@ def log_returns(
     panel: TickPanel, interval: int = 1, *, rolling_weekly: bool = False
 ) -> ReturnsPanel:
     """Log returns on the interval grid; daily = one session, weekly = 5 sessions."""
-    _check_interval(interval)
     slices = panel.session_slices()
-    n_sessions = int(panel.session_index[-1]) + 1
-    if interval == ONE_WEEK and n_sessions < 5:
-        raise ValueError("interval larger than available data (need 5 sessions)")
-    if interval != ONE_WEEK and interval > SESSION_SECONDS:
-        raise ValueError("interval larger than available data")
-
     logp = np.log(panel.prices)
     per_second = np.vstack([np.diff(logp[sl], axis=0) for sl in slices])
     mask = np.ones(panel.n_rows, dtype=bool)
@@ -214,20 +194,9 @@ def log_returns(
         return ReturnsPanel(ts_r, per_second, panel.asset_ids, 1, si_r)
 
     stamps, sums, sess = window_sums(
-        per_second, ts_r, si_r, 1, interval,
-        rolling_weekly=rolling_weekly,
+        per_second, ts_r, si_r, interval, rolling_weekly=rolling_weekly
     )
     return ReturnsPanel(stamps, sums, panel.asset_ids, interval, sess)
-
-
-def _check_interval(interval: int) -> None:
-    if interval == ONE_WEEK:
-        return
-    ok = interval >= 1 and (SESSION_SECONDS % interval == 0 or interval == 3600)
-    if not ok:
-        raise ValueError(
-            f"misaligned interval {interval}: must divide the session, or be 1 hour/1 day/1 week"
-        )
 
 
 def asset_return_series(returns: ReturnsPanel, asset_id: str) -> RiskSeries:
@@ -248,10 +217,8 @@ def realized_variance_windows(
         col = returns.returns[:, 0]
     else:
         col = returns.column(asset_id)
-    _check_interval(window)
     stamps, sums, _ = window_sums(
-        col * col, returns.timestamps, returns.session_index, returns.interval, window,
-        rolling_weekly=rolling_weekly,
+        col * col, returns.timestamps, returns.session_index, window, rolling_weekly=rolling_weekly
     )
     return stamps, sums
 
@@ -283,11 +250,8 @@ def sample_price_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prices at window right edges (the final print of each window) for one asset."""
     col = panel.prices[:, panel.asset_ids.index(asset_id)]
-    r = log_returns(panel, 1)
-    stamps, _, sess = window_sums(
-        np.zeros(len(r.timestamps)), r.timestamps, r.session_index, 1, interval,
-        rolling_weekly=rolling_weekly,
-    )
+    opens, _ = _full_sessions(panel.timestamps, panel.session_index, first_offset=0)
+    stamps, _ = _window_edges(opens, interval, rolling_weekly)
     # price at or before each stamp
     idx = np.searchsorted(panel.timestamps, stamps, side="right") - 1
     return stamps, col[idx]

@@ -17,9 +17,9 @@ def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise ValueError("shape mismatch")
     if yt.size == 0:
         raise ValueError("empty inputs")
-    ss_tot = float(np.sum((yt - yt.mean()) ** 2))
-    if ss_tot == 0.0:
+    if yt.min() == yt.max():  # the two-pass sum below need not be 0 for equal values
         raise ValueError("constant target: r_squared undefined")
+    ss_tot = float(np.sum((yt - yt.mean()) ** 2))
     ss_res = float(np.sum((yt - yp) ** 2))
     return 1.0 - ss_res / ss_tot
 

@@ -171,7 +171,6 @@ def test_steps_per_session_table():
     assert steps_per_session(ONE_DAY) == 1.0
     assert steps_per_session(ONE_WEEK) == 0.2
     assert steps_per_session(ONE_WEEK, rolling=True) == 1.0
-    assert steps_per_session(900) == 26.0
     with pytest.raises(ValueError, match="misaligned"):
         steps_per_session(7)
 

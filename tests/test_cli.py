@@ -65,6 +65,8 @@ def _tiny_config(out_dir, seed=3):
         data_source="synthetic",
         splits=SplitSpec((0, 1), (1, 2), (2, 3)),
         synthetic=synth,
+        frequencies=(300, 3600, 23400),  # a 1-week window needs 5 sessions
+        horizons=(300, 3600, 23400),
         seed=seed,
         output_dir=out_dir,
     )

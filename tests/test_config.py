@@ -67,7 +67,8 @@ def test_source_requirements():
     with pytest.raises(ValueError, match="csv_path and csv_dates"):
         _config(data_source="csv", synthetic=None)
     cfg = _config(data_source="csv", synthetic=None, csv_path="ticks.csv",
-                  csv_dates=("2012-01-03", "2012-01-04"))
+                  csv_dates=("2012-01-03", "2012-01-04"), frequencies=(300, 3600, 23400),
+                  horizons=(300,))
     assert cfg.csv_path == "ticks.csv"
 
 
@@ -101,6 +102,25 @@ def test_budget_and_fold_rules():
 def test_splits_must_fit_the_synthetic_session_count():
     with pytest.raises(ValueError, match="splits need 16 sessions"):
         _config(synthetic=_synth(n_sessions=10))
+
+
+def test_weekly_frequency_needs_five_sessions():
+    short = dict(synthetic=_synth(n_sessions=4), splits=SplitSpec((0, 2), (2, 3), (3, 4)))
+    with pytest.raises(ValueError, match="1-week frequency needs 5 sessions, the data has 4"):
+        _config(**short)
+    three = (300, 3600, 23400)
+    assert _config(**short, frequencies=three, horizons=three).frequencies == three
+    assert _config(synthetic=_synth(n_sessions=5), splits=short["splits"]).synthetic.n_sessions == 5
+
+
+def test_weekly_frequency_counts_csv_dates_without_half_days():
+    dates = ("2012-01-03", "2012-01-04", "2012-01-05", "2012-01-06", "2012-01-09")
+    csv = dict(data_source="csv", synthetic=None, csv_path="ticks.csv", csv_dates=dates)
+    assert _config(**csv).csv_dates == dates
+    with pytest.raises(ValueError, match="1-week frequency needs 5 sessions, the data has 4"):
+        _config(**csv, csv_half_days=("2012-01-05",))
+    with pytest.raises(ValueError, match="1-week frequency needs 5 sessions, the data has 3"):
+        _config(**{**csv, "csv_dates": dates[:3]})
 
 
 def test_analyze_source_resolution():

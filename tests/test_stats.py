@@ -60,6 +60,14 @@ def test_r_squared_validation():
         r_squared(np.ones(5), np.zeros(5))
 
 
+# equal targets whose mean rounds, so their two-pass sum of squares is not exactly 0
+@pytest.mark.parametrize("value", [0.1, 0.3, 0.7])
+@pytest.mark.parametrize("n", [3, 5, 7, 10])
+def test_r_squared_rejects_every_constant_target(value, n):
+    with pytest.raises(ValueError, match="constant target"):
+        r_squared(np.full(n, value), np.full(n, value + 0.01))
+
+
 # ---------------------------------------------------------------------------
 # AUROC
 
