@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,6 @@ class SessionCalendar:
 
     def dates(self) -> list[dt.date]:
         return [d for d, _, _ in self.sessions]
-
-    def open_close(self, session: int) -> tuple[int, int]:
-        _, o, c = self.sessions[session]
-        return o, c
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-second (timestamps, session_index) rows of every session, in order."""
@@ -414,27 +410,15 @@ def _parse_timestamp(raw: str) -> int:
     return int(parsed.timestamp())
 
 
-def _forward_fill(grid: np.ndarray) -> np.ndarray:
-    """Forward-fill NaNs; leading NaNs take the first observed value."""
-    filled = np.flatnonzero(~np.isnan(grid))
-    idx = np.zeros(len(grid), dtype=np.int64)
-    idx[filled] = filled
-    idx = np.maximum.accumulate(idx)
-    out = grid[np.maximum(idx, filled[0])]
-    return out
-
-
 def load_tick_csv(path, calendar: SessionCalendar) -> TickPanel:
     """Load `timestamp,asset_id,price` rows onto the calendar's 1-second grid.
 
     Timestamps may be epoch seconds or ISO-8601 (auto-detected). Missing seconds are
-    forward-filled within the session; rows on excluded dates, unknown dates, or outside
-    session hours are dropped; duplicate (second, asset) rows keep the last value.
+    forward-filled within the session, and a session that opens on a gap takes its first
+    print; rows on excluded dates, unknown dates, or outside session hours are dropped;
+    duplicate (second, asset) rows keep the last value in file order.
     """
-    date_to_session = {d: i for i, (d, _, _) in enumerate(calendar.sessions)}
-    excluded = set(calendar.excluded_dates)
-    raw: dict[str, list[tuple[int, int, float]]] = {}
-
+    stamps, names, values = [], [], []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -452,35 +436,38 @@ def load_tick_csv(path, calendar: SessionCalendar) -> TickPanel:
                 raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
             if not math.isfinite(price) or price <= 0.0:
                 raise ValueError(f"non-positive price at line {lineno}")
-            date = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).date()
-            if date in excluded:
-                continue
-            sess = date_to_session.get(date)
-            if sess is None:
-                continue
-            o, c = calendar.open_close(sess)
-            if not (o <= ts < c):
-                continue
-            raw.setdefault(row[1].strip(), []).append((sess, ts - o, price))
+            stamps.append(ts)
+            names.append(row[1].strip())
+            values.append(price)
 
-    if not raw:
+    # sessions are disjoint and ordered, so a row belongs to the last session opening
+    # at or before it, if it falls before that session's close
+    opens = np.array([o for _, o, _ in calendar.sessions], dtype=np.int64)
+    ts = np.array(stamps, dtype=np.int64)
+    session = np.searchsorted(opens, ts, side="right") - 1
+    offset = ts - opens[session]
+    keep = (session >= 0) & (offset < SESSION_SECONDS)
+    if not keep.any():
         raise ValueError("no usable rows in CSV")
-    asset_ids = tuple(sorted(raw))
-    n_sessions = calendar.n_sessions
-    prices = np.empty((n_sessions * SESSION_SECONDS, len(asset_ids)))
-    for j, asset in enumerate(asset_ids):
-        by_session: dict[int, list[tuple[int, float]]] = {}
-        for sess, off, price in raw[asset]:
-            by_session.setdefault(sess, []).append((off, price))
-        for s in range(n_sessions):
-            ticks = by_session.get(s)
-            if not ticks:
-                date = calendar.sessions[s][0]
-                raise ValueError(f"asset {asset!r} has no data in session {date.isoformat()}")
-            grid = np.full(SESSION_SECONDS, np.nan)
-            for off, price in ticks:  # later rows overwrite earlier duplicates
-                grid[off] = price
-            prices[s * SESSION_SECONDS : (s + 1) * SESSION_SECONDS, j] = _forward_fill(grid)
+    ids, column = np.unique(np.array(names)[keep], return_inverse=True)
+    asset_ids = tuple(ids.tolist())
+    shape = (calendar.n_sessions, SESSION_SECONDS, len(asset_ids))
+    cell = np.ravel_multi_index((session[keep], offset[keep], column), shape)
+    # the last row of a cell in file order is the first one met reading backwards
+    cells, back = np.unique(cell[::-1], return_index=True)
+    grid = np.full(shape, np.nan)
+    grid.flat[cells] = np.array(values)[keep][::-1][back]
+    seen = ~np.isnan(grid)
 
+    empty = np.argwhere(~seen.any(axis=1).T)  # (asset, session) pairs, asset-major
+    if len(empty):
+        j, s = empty[0]
+        date = calendar.sessions[s][0]
+        raise ValueError(f"asset {asset_ids[j]!r} has no data in session {date.isoformat()}")
+    # each second takes the latest print at or before it, else the session's first print
+    source = np.where(seen, np.arange(SESSION_SECONDS)[:, None], 0)
+    np.maximum.accumulate(source, axis=1, out=source)
+    np.maximum(source, seen.argmax(axis=1)[:, None, :], out=source)
+    prices = np.take_along_axis(grid, source, axis=1).reshape(-1, len(asset_ids))
     timestamps, session_index = calendar.grid()
     return TickPanel(timestamps, prices, asset_ids, session_index)

@@ -39,12 +39,13 @@ from .market_data import (
 from .pca import fit_pca
 from .returns_metrics import (
     ReturnsPanel,
-    asset_return_series,
+    RiskSeries,
     crash_labels,
     drawdown,
     log_returns,
     realized_variance,
     sample_price_series,
+    window_sums,
     winsorize,
 )
 from .serialization import load_autoencoder, load_pca, save_autoencoder, save_pca, write_json
@@ -118,32 +119,27 @@ def _calendar_from_dict(data: dict) -> SessionCalendar:
 
 
 def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
-    """The tick panel a stage works on: the generated panel.npz, or the user's CSV."""
-    if cfg.data_source == "synthetic":
-        data_dir = os.path.join(out_dir, "data")
-        panel_path = os.path.join(data_dir, "panel.npz")
-        cal_path = os.path.join(data_dir, "calendar.json")
-        manifest_path = os.path.join(data_dir, "manifest.json")
-        missing = [p for p in (panel_path, cal_path, manifest_path) if not os.path.exists(p)]
-        if missing:
-            raise StageError("cmd_generate outputs missing", details={"missing": missing})
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            hashes = {"expected": data_hash(cfg), "found": json.load(fh).get("data_hash")}
-        if hashes["found"] != hashes["expected"]:
-            raise StageError(f"{panel_path} is from a different data config", details=hashes)
-        with open(cal_path, "r", encoding="utf-8") as fh:
-            calendar = _calendar_from_dict(json.load(fh))
-        try:
-            with np.load(panel_path, allow_pickle=False) as data:
-                prices, asset_ids = data["prices"], tuple(data["asset_ids"].tolist())
-        except (zipfile.BadZipFile, KeyError) as exc:
-            raise StageError(f"malformed {panel_path}: {exc}") from exc
-        timestamps, session_index = calendar.grid()
-        return TickPanel(timestamps, prices, asset_ids, session_index), calendar
-    dates = [dt.date.fromisoformat(d) for d in cfg.csv_dates]
-    half = [dt.date.fromisoformat(d) for d in cfg.csv_half_days]
-    calendar = build_session_calendar(dates, half)
-    return load_tick_csv(cfg.csv_path, calendar), calendar
+    """The tick panel a stage works on: the data stage's panel.npz and calendar."""
+    data_dir = os.path.join(out_dir, "data")
+    panel_path = os.path.join(data_dir, "panel.npz")
+    cal_path = os.path.join(data_dir, "calendar.json")
+    manifest_path = os.path.join(data_dir, "manifest.json")
+    missing = [p for p in (panel_path, cal_path, manifest_path) if not os.path.exists(p)]
+    if missing:
+        raise StageError("cmd_generate outputs missing", details={"missing": missing})
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        hashes = {"expected": data_hash(cfg), "found": json.load(fh).get("data_hash")}
+    if hashes["found"] != hashes["expected"]:
+        raise StageError(f"{panel_path} is from a different data config", details=hashes)
+    with open(cal_path, "r", encoding="utf-8") as fh:
+        calendar = _calendar_from_dict(json.load(fh))
+    try:
+        with np.load(panel_path, allow_pickle=False) as data:
+            prices, asset_ids = data["prices"], tuple(data["asset_ids"].tolist())
+    except (zipfile.BadZipFile, KeyError) as exc:
+        raise StageError(f"malformed {panel_path}: {exc}") from exc
+    timestamps, session_index = calendar.grid()
+    return TickPanel(timestamps, prices, asset_ids, session_index), calendar
 
 
 def _sector_ticks(ticks: TickPanel, cfg: RunConfig) -> TickPanel:
@@ -178,13 +174,19 @@ def _selected_sources(cfg: RunConfig) -> tuple[str, ...]:
 
 
 def cmd_generate(cfg: RunConfig, out_dir) -> dict:
-    """Write the synthetic panel's prices and asset ids (panel.npz), its calendar, and the
-    data manifest. The timestamps and session index are rebuilt from the calendar."""
-    if cfg.data_source != "synthetic":
-        raise StageError("generate requires a synthetic data source")
+    """The one data stage: generate the synthetic panel or ingest the CSV once, then write
+    its prices and asset ids (panel.npz), its calendar, and the data manifest. The
+    timestamps and session index are rebuilt from the calendar."""
+    if cfg.data_source == "synthetic":
+        panel = generate_synthetic_market(cfg.synthetic)
+        calendar = synthetic_calendar(cfg.synthetic)
+    else:
+        calendar = build_session_calendar(
+            [dt.date.fromisoformat(d) for d in cfg.csv_dates],
+            [dt.date.fromisoformat(d) for d in cfg.csv_half_days],
+        )
+        panel = load_tick_csv(cfg.csv_path, calendar)
     directory = stage_dir(out_dir, "data")
-    panel = generate_synthetic_market(cfg.synthetic)
-    calendar = synthetic_calendar(cfg.synthetic)
     # uncompressed: random doubles barely compress; zip entries carry a fixed date, so
     # the file is byte-identical from run to run
     np.savez(
@@ -373,17 +375,31 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
 # analyze
 
 
-def _metric_series(ticks: TickPanel, metric: str, freq: int, market: str):
+def _market_base(ticks: TickPanel) -> ReturnsPanel:
+    """One-second log returns of the market (asset 0) alone."""
+    market = TickPanel(
+        ticks.timestamps, ticks.prices[:, :1], ticks.asset_ids[:1], ticks.session_index
+    )
+    return log_returns(market, 1)
+
+
+def _market_returns(base: ReturnsPanel, freq: int) -> RiskSeries:
+    """The market's log returns over `freq` windows, summed from its one-second returns."""
+    stamps, sums, _ = window_sums(
+        base.returns, base.timestamps, base.session_index, freq, rolling_weekly=freq == ONE_WEEK
+    )
+    return RiskSeries(stamps, sums[:, 0], "return", freq)
+
+
+def _metric_series(ticks: TickPanel, base: ReturnsPanel, metric: str, freq: int):
     rolling = freq == ONE_WEEK
     if metric == "returns":
-        panel = log_returns(ticks, freq, rolling_weekly=rolling)
-        series = asset_return_series(panel, market)
-        return series.timestamps, series.values
-    if metric == "log_rv":
-        series = realized_variance(log_returns(ticks, 1), freq, market, rolling_weekly=rolling)
-        return series.timestamps, series.values
-    stamps, prices = sample_price_series(ticks, freq, market, rolling_weekly=rolling)
-    series = drawdown(stamps, prices, freq)
+        series = _market_returns(base, freq)
+    elif metric == "log_rv":
+        series = realized_variance(base, freq, rolling_weekly=rolling)
+    else:
+        stamps, prices = sample_price_series(ticks, freq, base.asset_ids[0], rolling_weekly=rolling)
+        series = drawdown(stamps, prices, freq)
     return series.timestamps, series.values
 
 
@@ -400,6 +416,7 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
     returns, log realized variance, and drawdown, at every configured frequency."""
     ticks, _ = load_panel(cfg, out_dir)
     market = ticks.asset_ids[0]
+    base = _market_base(ticks)
     source = cfg.resolved_analyze_source()
     directory = stage_dir(out_dir, "analyze")
     arr_dir = os.path.join(out_dir, "arr")
@@ -411,7 +428,7 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
             raise StageError("cmd_arr outputs missing", details={"missing": [arr_path]})
         arr_series, _ = read_arr_csv(arr_path, freq, source)
         for metric in ANALYZE_METRICS:
-            ts_m, vals_m = _metric_series(ticks, metric, freq, market)
+            ts_m, vals_m = _metric_series(ticks, base, metric, freq)
             stamps, metric_vals, arr_vals = align_series(
                 ts_m, vals_m, arr_series.timestamps, arr_series.values
             )
@@ -535,15 +552,13 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
     """Build the 24-cell work list: per-horizon paired datasets × families × tasks."""
     if set(FREQUENCIES) - set(cfg.frequencies):
         raise StageError("forecasting needs all four frequencies configured")
-    market = ticks.asset_ids[0]
     source = cfg.resolved_analyze_source()
     arr_dir = os.path.join(out_dir, "arr")
-    base = log_returns(ticks, 1)
+    base = _market_base(ticks)
 
     log_rv, arr = {}, {}
     for freq in FREQUENCIES:
-        rolling = freq == ONE_WEEK
-        log_rv[freq] = realized_variance(base, freq, market, rolling_weekly=rolling)
+        log_rv[freq] = realized_variance(base, freq, rolling_weekly=freq == ONE_WEEK)
         path = os.path.join(arr_dir, arr_file_name(source, freq))
         if not os.path.exists(path):
             raise StageError("cmd_arr outputs missing", details={"missing": [path]})
@@ -554,11 +569,9 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
     for hi, horizon in enumerate(FREQUENCIES):
         if horizon not in cfg.horizons:
             continue
-        rolling = horizon == ONE_WEEK
-        market_returns = asset_return_series(
-            log_returns(ticks, horizon, rolling_weekly=rolling), market
+        labels = crash_labels(
+            _market_returns(base, horizon), cfg.crash_half_life, cfg.crash_threshold
         )
-        labels = crash_labels(market_returns, cfg.crash_half_life, cfg.crash_threshold)
         for ti, task in enumerate(("regression", "classification")):
             crash = labels if task == "classification" else None
             families = (
@@ -693,11 +706,8 @@ def _reconstruction_block(cfg: RunConfig, out_dir) -> dict:
 def cmd_report(cfg: RunConfig, out_dir) -> dict:
     """Aggregate every stage into one structured report: manifests, the out-of-sample
     reconstruction comparison, and one forecasting table per task."""
-    required = ["models", "arr", "analyze", "forecast"]
-    if cfg.data_source == "synthetic":
-        required.insert(0, "data")
     missing, manifests = [], {}
-    for stage in required:
+    for stage in ("data", "models", "arr", "analyze", "forecast"):
         path = os.path.join(out_dir, stage, "manifest.json")
         if not os.path.exists(path):
             missing.append(f"cmd_{_VERB_OF[stage]} outputs missing")

@@ -18,6 +18,8 @@ from arrkit.market_data import (
     RegimeSpec,
     SyntheticMarketConfig,
     generate_synthetic_market,
+    synthetic_calendar,
+    write_tick_csv,
 )
 
 VERBS = ("generate", "train", "arr", "analyze", "forecast", "report")
@@ -370,6 +372,108 @@ def test_panel_from_another_synthetic_config_is_refused(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV source
+
+
+def _csv_config(synthetic_cfg, ticks_path, out_dir):
+    """A "csv" config over the dates of a synthetic config, with its other settings."""
+    dates = [d.isoformat() for d in synthetic_calendar(synthetic_cfg.synthetic).dates()]
+    return dataclasses.replace(
+        synthetic_cfg, data_source="csv", synthetic=None, csv_path=str(ticks_path),
+        csv_dates=tuple(dates), output_dir=out_dir,
+    )
+
+
+@pytest.fixture(scope="module")
+def csv_run(tmp_path_factory):
+    """generate, train and arr on a 2-asset synthetic panel, then on the same panel
+    written to a tick file and read through a "csv" config, counting CSV loads."""
+    root = tmp_path_factory.mktemp("csv")
+    synthetic = _tiny_config(str(root / "synthetic"))
+    synthetic = dataclasses.replace(
+        synthetic, models="pca", synthetic=dataclasses.replace(synthetic.synthetic, n_assets=2)
+    )
+    write_tick_csv(generate_synthetic_market(synthetic.synthetic), root / "ticks.csv")
+    csv = _csv_config(synthetic, root / "ticks.csv", str(root / "csv"))
+    paths = {"synthetic": _save(synthetic, str(root), "synthetic.json"),
+             "csv": _save(csv, str(root), "csv.json")}
+    calls, loads = [], {}
+    real = arrkit.pipeline.load_tick_csv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrkit.pipeline, "load_tick_csv",
+                   lambda path, calendar: calls.append(path) or real(path, calendar))
+        for source in ("synthetic", "csv"):
+            for verb in ("generate", "train", "arr"):
+                before = len(calls)
+                rc, _, err = _run([verb, "--config", paths[source]])
+                assert rc == 0, f"{source} {verb} exited {rc}: {err}"
+                loads[source, verb] = len(calls) - before
+    return {"root": root, "synthetic": synthetic, "csv": csv, "paths": paths, "loads": loads}
+
+
+def test_csv_source_is_ingested_once_by_generate(csv_run):
+    assert csv_run["loads"] == {
+        ("synthetic", "generate"): 0, ("synthetic", "train"): 0, ("synthetic", "arr"): 0,
+        ("csv", "generate"): 1, ("csv", "train"): 0, ("csv", "arr"): 0,
+    }
+
+
+def test_csv_source_gives_the_synthetic_source_artifacts(csv_run):
+    synthetic, csv = csv_run["root"] / "synthetic", csv_run["root"] / "csv"
+    with np.load(csv / "data" / "panel.npz", allow_pickle=False) as panel:
+        prices = panel["prices"]
+    expected = generate_synthetic_market(csv_run["synthetic"].synthetic).prices
+    assert np.array_equal(prices.view(np.uint64), expected.view(np.uint64))
+    names = ["data/panel.npz", "data/calendar.json", "models/pca.json"]
+    names += sorted(f"arr/{p.name}" for p in (synthetic / "arr").glob("pca_*.csv"))
+    assert len(names) == 3 + 4  # three frequencies plus the smoothed 5-minute series
+    for name in names:
+        assert (csv / name).read_bytes() == (synthetic / name).read_bytes(), name
+
+
+def test_csv_train_without_generate_is_refused(csv_run, tmp_path):
+    rc, out, err = _run(["train", "--config", csv_run["paths"]["csv"], "--out", str(tmp_path)])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert _error_payload(err)["message"] == "cmd_generate outputs missing"
+
+
+def test_csv_dates_edited_after_generate_are_refused(csv_run):
+    edited = dataclasses.replace(
+        csv_run["csv"], csv_dates=csv_run["csv"].csv_dates + ("2012-01-05",)
+    )
+    rc, out, err = _run(["train", "--config", _save(edited, str(csv_run["root"]), "edited.json")])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    error = _error_payload(err)
+    assert error["type"] == "StageError"
+    assert "different data config" in error["message"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["time,asset,price", "1325496600,A01,100.0"],
+     "malformed header: expected timestamp,asset_id,price"),
+    (["timestamp,asset_id,price", "1325496600,A01,100.0", "1325496601,A01"],
+     "malformed row at line 3: ['1325496601', 'A01']"),
+    (["timestamp,asset_id,price", "yesterday,A01,100.0"],
+     "malformed row at line 2: unparseable timestamp 'yesterday'"),
+    (["timestamp,asset_id,price", "1325496600,A01,100.0", "1325496601,A01,-2.5"],
+     "non-positive price at line 3"),
+    (["timestamp,asset_id,price", "1325462400,A01,100.0"],  # midnight, before the open
+     "no usable rows in CSV"),
+])
+def test_bad_tick_file_ends_generate_with_one_json_line(tmp_path, lines, message):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = _csv_config(_tiny_config(str(tmp_path / "run")), ticks, str(tmp_path / "run"))
+    rc, out, err = _run(["generate", "--config", _save(cfg, str(tmp_path))])
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert _error_payload(err) == {"type": "ValueError", "message": message}
+    assert not os.path.exists(tmp_path / "run" / "data")  # no partial data stage
+
+
+# ---------------------------------------------------------------------------
 # errors
 
 
@@ -388,6 +492,12 @@ def test_report_without_prior_stages_lists_every_missing_verb(tmp_path):
         f"cmd_{verb} outputs missing"
         for verb in ("generate", "train", "arr", "analyze", "forecast")
     ]
+    # a CSV source has the same data stage
+    csv = _csv_config(_tiny_config(str(tmp_path / "empty")), tmp_path / "ticks.csv",
+                      str(tmp_path / "empty"))
+    rc, _, err = _run(["report", "--config", _save(csv, str(tmp_path), "csv.json")])
+    assert rc == 1
+    assert _error_payload(err)["details"]["missing"][0] == "cmd_generate outputs missing"
 
 
 def test_malformed_config_is_reported(tmp_path):

@@ -2,7 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrkit.market_data import (
@@ -212,6 +212,117 @@ def test_csv_loader_accepts_iso_and_fills_gaps(tmp_path):
     assert panel.prices[1, 0] == 100.0  # forward fill
     assert panel.prices[2, 0] == 102.0  # last duplicate wins
     assert panel.n_rows == SESSION_SECONDS
+
+
+# Ingest property: two sessions around a declared half day, one unknown date after them.
+INGEST_DATES = [dt.date(2012, 1, 2), dt.date(2012, 1, 3), dt.date(2012, 1, 4)]
+INGEST_HALF_DAY = dt.date(2012, 1, 3)
+INGEST_UNKNOWN_DAY = dt.date(2012, 1, 5)
+
+
+def _open_of(date):
+    midnight = dt.datetime(date.year, date.month, date.day, tzinfo=dt.timezone.utc)
+    return int(midnight.timestamp()) + SESSION_OPEN_OFFSET
+
+
+def _stamp(second, ms, style):
+    if style == "epoch":
+        return str(second)
+    stamp = dt.datetime.fromtimestamp(second, tz=dt.timezone.utc).replace(microsecond=1000 * ms)
+    return stamp.isoformat().replace("+00:00", "Z" if style == "Z" else "+00:00")
+
+
+def _ingest_oracle(rows, calendar):
+    """The per-second grid of (second, asset, price) rows in file order, by plain loops."""
+    opens = [o for _, o, _ in calendar.sessions]
+    cells = {}
+    for second, asset, price in rows:
+        for s, o in enumerate(opens):
+            if o <= second < o + SESSION_SECONDS:
+                cells[asset, s, second - o] = price  # a later row overwrites an earlier one
+    assets = sorted({a for a, _, _ in cells})
+    prices = np.empty((len(opens) * SESSION_SECONDS, len(assets)))
+    for j, asset in enumerate(assets):
+        for s in range(len(opens)):
+            ticks = sorted((off, p) for (a, ss, off), p in cells.items() if a == asset and ss == s)
+            if not ticks:
+                date = calendar.sessions[s][0].isoformat()
+                raise ValueError(f"asset {asset!r} has no data in session {date}")
+            col = prices[s * SESSION_SECONDS : (s + 1) * SESSION_SECONDS, j]
+            col[:] = ticks[0][1]  # the session takes its first print until then
+            for off, p in ticks:
+                col[off:] = p
+    return tuple(assets), prices
+
+
+_session_row = st.tuples(
+    st.sampled_from("ABC"),
+    st.sampled_from([0, 1]),  # session ordinal
+    # few seconds, so prints often share one
+    st.one_of(st.integers(0, 6), st.integers(SESSION_SECONDS - 2, SESSION_SECONDS - 1)),
+)
+# rows the loader drops: on the half day, on an unknown date, before the open, at or
+# after the close; asset D prints only in them, so it must not appear in the panel
+_dropped_row = st.tuples(
+    st.sampled_from("ABD"),
+    st.sampled_from(["half_day", "unknown_day", "before_open", "at_close"]),
+    st.integers(0, 30),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base_prices=st.lists(st.floats(1.0, 500.0), min_size=6, max_size=6),
+    extra=st.lists(st.tuples(_session_row, st.floats(1e-3, 1e6)), max_size=30),
+    dropped=st.lists(st.tuples(_dropped_row, st.floats(1.0, 500.0)), max_size=6),
+    swaps=st.lists(st.integers(0, 40), max_size=6),
+    stamps=st.lists(st.tuples(st.integers(0, 999), st.sampled_from(["epoch", "Z", "+00:00"])),
+                    min_size=1, max_size=8),
+    empty=st.sets(st.tuples(st.sampled_from("ABC"), st.sampled_from([0, 1])), max_size=3),
+)
+# two empty pairs whose asset-major and session-major orders differ: asset A is reported
+@example(base_prices=[1.0] * 6, extra=[], dropped=[], swaps=[], stamps=[(0, "epoch")],
+         empty={("B", 0), ("A", 1)})
+def test_csv_loader_matches_plain_oracle(
+    tmp_path_factory, base_prices, extra, dropped, swaps, stamps, empty
+):
+    calendar = build_session_calendar(INGEST_DATES, [INGEST_HALF_DAY])
+    opens = [o for _, o, _ in calendar.sessions]
+    # a print for every asset in every session, bar the (asset, session) pairs in `empty`
+    pairs = [(a, s) for a in "ABC" for s in (0, 1)]
+    base = [((a, s, 1 + s + i % 3), p) for i, ((a, s), p) in enumerate(zip(pairs, base_prices))]
+    rows = [(opens[s] + off, a, p) for (a, s, off), p in base + extra if (a, s) not in empty]
+    for (asset, kind, k), price in dropped:
+        second = {
+            "half_day": _open_of(INGEST_HALF_DAY) + k,
+            "unknown_day": _open_of(INGEST_UNKNOWN_DAY) + k,
+            "before_open": opens[k % 2] - 1 - k,
+            "at_close": opens[k % 2] + SESSION_SECONDS + k,
+        }[kind]
+        rows.append((second, asset, price))
+    rows.sort(key=lambda r: r[0])
+    for i in swaps:  # swapped neighbouring rows
+        if i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+
+    path = tmp_path_factory.mktemp("ingest") / "ticks.csv"
+    lines = ["timestamp,asset_id,price"] + [
+        f"{_stamp(second, *stamps[i % len(stamps)])},{asset},{price!r}"
+        for i, (second, asset, price) in enumerate(rows)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    try:
+        expected_ids, expected = _ingest_oracle(rows, calendar)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="has no data in session") as raised:
+            load_tick_csv(path, calendar)
+        assert str(raised.value) == str(exc)
+        return
+    panel = load_tick_csv(path, calendar)
+    assert panel.asset_ids == expected_ids
+    assert np.array_equal(panel.prices.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(panel.timestamps, calendar.grid()[0])
 
 
 @settings(max_examples=20, deadline=None)
