@@ -8,7 +8,7 @@ from .arr import ArrSeries, compute_arr, pca_reconstruction, smooth_arr
 from .autoencoder import AutoencoderModel, random_search_ae, train_autoencoder
 from .config import RunConfig, SplitSpec, load_config
 from .market_data import SyntheticMarketConfig, TickPanel, generate_synthetic_market
-from .pca import PcaModel, absorption_ratio, fit_pca, jacobi_eigh
+from .pca import PcaModel, absorption_ratio, fit_pca
 from .returns_metrics import ReturnsPanel, crash_labels, log_returns, realized_variance
 from .stats import auroc, kde2d, paired_bootstrap, r_squared, spearman
 
@@ -27,7 +27,6 @@ __all__ = [
     "crash_labels",
     "fit_pca",
     "generate_synthetic_market",
-    "jacobi_eigh",
     "kde2d",
     "load_config",
     "log_returns",

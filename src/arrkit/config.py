@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 
 from .forecasting import FAMILIES
@@ -152,13 +152,33 @@ def _synthetic_to_dict(cfg: SyntheticMarketConfig) -> dict:
     return out
 
 
+def _block(data, path: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """The object at `path`, refused if it lacks a required key or has an unread one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config field {path} must be a JSON object")
+    prefix = f"{path}." if path else ""
+    for key in required:
+        if key not in data:
+            raise ValueError(f"config missing required field: {prefix}{key}")
+    for key in data:
+        if key not in required + optional:
+            raise ValueError(f"unknown config field: {prefix}{key}")
+    return data
+
+
 def _synthetic_from_dict(data: dict) -> SyntheticMarketConfig:
+    data = _block(data, "data.synthetic", ("n_assets", "n_sessions", "n_factors", "regimes"), (
+        "nonlinearity", "seed", "base_vol", "intraday_amplitude", "start_date",
+        "market_composite", "comovement",
+    ))
     comovement = None
     if "comovement" in data:
-        comovement = CoMovementSpec(**data["comovement"])
-    regimes = tuple(
-        RegimeSpec(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in data["regimes"]
-    )
+        keys = tuple(f.name for f in fields(CoMovementSpec))
+        comovement = CoMovementSpec(**_block(data["comovement"], "data.synthetic.comovement", (), keys))
+    if any(not isinstance(r, list) or len(r) != 4 for r in data["regimes"]):
+        raise ValueError("data.synthetic.regimes rows must be "
+                         "[start, stop, factor_loading_scale, idiosyncratic_vol]")
+    regimes = tuple(RegimeSpec(int(a), int(b), float(c), float(d)) for a, b, c, d in data["regimes"])
     return SyntheticMarketConfig(
         n_assets=int(data["n_assets"]),
         n_sessions=int(data["n_sessions"]),
@@ -213,51 +233,55 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    """Parse a config object; a malformed shape, missing field or unknown key is a ValueError."""
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    _block(data, "", ("data", "splits"), (
+        "schema_version", "models", "frequencies", "horizons", "families", "crash", "search",
+        "smooth_half_life_days", "analyze_source", "seed", "output_dir",
+    ))
+    synthetic = isinstance(data["data"], dict) and data["data"].get("source") == "synthetic"
+    block = _block(data["data"], "data", ("source", "synthetic") if synthetic else ("source",),
+                   () if synthetic else ("csv_path", "dates", "half_days"))
+    splits = _block(data["splits"], "splits", ("train", "validation", "test"))
+    families = _block(data.get("families", {}), "families", (), ("regression", "classification"))
+    crash = _block(data.get("crash", {}), "crash", (), ("half_life", "threshold"))
+    search = _block(data.get("search", {}), "search", (),
+                    ("ae_iterations", "forecast_iterations", "cv_folds"))
     try:
-        src = data["data"]["source"]
-        splits = SplitSpec(
-            train=tuple(data["splits"]["train"]),
-            validation=tuple(data["splits"]["validation"]),
-            test=tuple(data["splits"]["test"]),
+        return RunConfig(
+            data_source=block["source"],
+            splits=SplitSpec(
+                train=tuple(splits["train"]),
+                validation=tuple(splits["validation"]),
+                test=tuple(splits["test"]),
+            ),
+            synthetic=_synthetic_from_dict(block["synthetic"]) if synthetic else None,
+            csv_path=block.get("csv_path"),
+            csv_dates=tuple(block.get("dates", ())),
+            csv_half_days=tuple(block.get("half_days", ())),
+            models=data.get("models", "both"),
+            frequencies=tuple(data.get("frequencies", DEFAULT_FREQUENCIES)),
+            horizons=tuple(data.get("horizons", data.get("frequencies", DEFAULT_FREQUENCIES))),
+            regression_families=tuple(families.get("regression", DEFAULT_REGRESSION_FAMILIES)),
+            classification_families=tuple(
+                families.get("classification", DEFAULT_CLASSIFICATION_FAMILIES)
+            ),
+            crash_half_life=float(crash.get("half_life", 10.0)),
+            crash_threshold=float(crash.get("threshold", -1.5)),
+            ae_search_iterations=int(search.get("ae_iterations", 20)),
+            forecast_search_iterations=int(search.get("forecast_iterations", 200)),
+            cv_folds=int(search.get("cv_folds", 3)),
+            smooth_half_life_days=float(data.get("smooth_half_life_days", 1.0)),
+            analyze_source=data.get("analyze_source"),
+            seed=int(data.get("seed", 0)),
+            output_dir=str(data.get("output_dir", "run")),
         )
-    except KeyError as exc:
-        raise ValueError(f"config missing required field: {exc}") from exc
-    families = data.get("families", {})
-    crash = data.get("crash", {})
-    search = data.get("search", {})
-    return RunConfig(
-        data_source=src,
-        splits=splits,
-        synthetic=(
-            _synthetic_from_dict(data["data"]["synthetic"])
-            if src == "synthetic"
-            else None
-        ),
-        csv_path=data["data"].get("csv_path"),
-        csv_dates=tuple(data["data"].get("dates", ())),
-        csv_half_days=tuple(data["data"].get("half_days", ())),
-        models=data.get("models", "both"),
-        frequencies=tuple(data.get("frequencies", DEFAULT_FREQUENCIES)),
-        horizons=tuple(data.get("horizons", data.get("frequencies", DEFAULT_FREQUENCIES))),
-        regression_families=tuple(families.get("regression", DEFAULT_REGRESSION_FAMILIES)),
-        classification_families=tuple(
-            families.get("classification", DEFAULT_CLASSIFICATION_FAMILIES)
-        ),
-        crash_half_life=float(crash.get("half_life", 10.0)),
-        crash_threshold=float(crash.get("threshold", -1.5)),
-        ae_search_iterations=int(search.get("ae_iterations", 20)),
-        forecast_search_iterations=int(search.get("forecast_iterations", 200)),
-        cv_folds=int(search.get("cv_folds", 3)),
-        smooth_half_life_days=float(data.get("smooth_half_life_days", 1.0)),
-        analyze_source=data.get("analyze_source"),
-        seed=int(data.get("seed", 0)),
-        output_dir=str(data.get("output_dir", "run")),
-    )
+    except TypeError as exc:  # a field of the wrong JSON type, e.g. a number for a list
+        raise ValueError(f"malformed config: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

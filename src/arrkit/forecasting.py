@@ -10,7 +10,6 @@ come from random search scored by chronologically contiguous k-fold cross valida
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -67,10 +66,6 @@ class ForecastDataset:
 
     def __len__(self) -> int:
         return len(self.target)
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
 
 def _asof_values(ts: np.ndarray, values: np.ndarray, at: np.ndarray):
@@ -134,6 +129,11 @@ def build_features(
         keep = np.all(masks, axis=0)
         task = "regression"
     else:
+        if len(crash.labels) == 0:
+            raise ValueError(
+                f"no crash labels at the {FREQ_NAMES[horizon]} horizon: {len(anchor.values)} "
+                f"windows against {math.ceil(3.0 * crash.half_life)} warm-up stamps"
+            )
         lbl, ok = _exact_lookup(crash.timestamps, crash.labels, target_times)
         target = lbl
         keep = np.all(masks, axis=0) & ok
@@ -705,15 +705,3 @@ def random_search_cv(
     model = train_model(winner, x_fit, y_fit, rng=final_rng)
     return SearchCvResult(spec=winner, model=model, best_score=best[0], trials=tuple(trials))
 
-
-def write_trials_jsonl(trials, path) -> None:
-    """One JSON object per trial: config, fold scores, mean, error."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trials:
-            fh.write(json.dumps({
-                "arm": t.arm,
-                "params": t.params,
-                "fold_scores": list(t.fold_scores) if t.fold_scores else None,
-                "mean_score": t.mean_score,
-                "error": t.error,
-            }) + "\n")

@@ -146,18 +146,6 @@ class TickPanel:
     def session_slices(self) -> list[slice]:
         return session_slices(self.session_index)
 
-    def select_sessions(self, start: int, stop: int) -> "TickPanel":
-        """Rows of sessions start..stop-1, with session_index rebased to 0."""
-        mask = (self.session_index >= start) & (self.session_index < stop)
-        if not mask.any():
-            raise ValueError(f"no rows in session range [{start}, {stop})")
-        return TickPanel(
-            self.timestamps[mask],
-            self.prices[mask],
-            self.asset_ids,
-            self.session_index[mask] - start,
-        )
-
 
 def session_slices(session_index: np.ndarray) -> list[slice]:
     """Contiguous row slices, one per session ordinal present in the array."""

@@ -1,80 +1,28 @@
-"""PCA on return covariance via cyclic Jacobi rotations, plus the absorption ratio.
+"""PCA on return covariance, plus the absorption ratio.
 
-The eigensolver is self-contained (no LAPACK) so that results are reproducible bit-for-bit
-across BLAS builds: plain cyclic Jacobi with the standard stable rotation, iterated until
-the off-diagonal Frobenius mass falls below a relative tolerance.
+The covariance is factored with LAPACK's symmetric solver (`np.linalg.eigh`), and its
+eigenpairs are put in descending order under a largest-entry-positive sign rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigh_descending(matrix: np.ndarray):
+    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
 
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvectors in the matching columns. Convergence: sqrt(sum of squared off-diagonal
-    entries) < tol * frobenius_norm(matrix). Each eigenvector is sign-normalized so its
-    largest-magnitude entry (first such entry on ties) is positive.
+    Eigenvectors sit in the matching columns. Equal eigenvalues keep the solver's order,
+    and each eigenvector is sign-normalized so its largest-magnitude entry (first such
+    entry on ties) is positive.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
-        raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    a = (a + a.T) / 2.0
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if n == 1 or fro == 0.0:
-        return _sorted_pairs(np.diag(a).copy(), v)
-    threshold = tol * fro
-
-    for _ in range(max_sweeps):
-        # direct off-diagonal norm; the difference trick sum(a^2)-sum(diag^2) cancels
-        # catastrophically and stalls around sqrt(eps)*|A|, above tight tolerances
-        off_entries = a.copy()
-        np.fill_diagonal(off_entries, 0.0)
-        if float(np.linalg.norm(off_entries)) < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                diff = float(a[q, q] - a[p, p])
-                if abs(diff) + 100.0 * abs(apq) == abs(diff):
-                    t = apq / diff  # tiny rotation; tau would overflow
-                else:
-                    tau = diff / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                a[p, :], a[q, :] = c * a[p, :] - s * a[q, :], s * a[p, :] + c * a[q, :]
-                a[p, q] = a[q, p] = 0.0
-                v[:, p], v[:, q] = c * v[:, p] - s * v[:, q], s * v[:, p] + c * v[:, q]
-    else:
-        raise RuntimeError(f"jacobi failed to converge in {max_sweeps} sweeps")
-    return _sorted_pairs(np.diag(a).copy(), v)
-
-
-def _sorted_pairs(eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     order = np.argsort(-eigenvalues, kind="stable")
-    w = eigenvalues[order]
     v = eigenvectors[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            v[:, k] = -col
-    return w, v
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return eigenvalues[order], np.where(lead < 0, -v, v)
 
 
 @dataclass(frozen=True)
@@ -98,7 +46,7 @@ class PcaModel:
         return len(self.mean)
 
 
-def fit_pca(x: np.ndarray, n_components: int, tol: float = 1e-12) -> PcaModel:
+def fit_pca(x: np.ndarray, n_components: int) -> PcaModel:
     """Fit on rows of x using the unbiased sample covariance of mean-centered columns."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -110,7 +58,7 @@ def fit_pca(x: np.ndarray, n_components: int, tol: float = 1e-12) -> PcaModel:
     centered = x - mean
     cov = centered.T @ centered / (t - 1)
     cov = (cov + cov.T) / 2.0
-    w, v = jacobi_eigh(cov, tol=tol)
+    w, v = eigh_descending(cov)
     return PcaModel(mean=mean, covariance=cov, eigenvalues=w, eigenvectors=v, n_components=n_components)
 
 

@@ -199,10 +199,6 @@ def log_returns(
     return ReturnsPanel(stamps, sums, panel.asset_ids, interval, sess)
 
 
-def asset_return_series(returns: ReturnsPanel, asset_id: str) -> RiskSeries:
-    return RiskSeries(returns.timestamps, returns.column(asset_id), "return", returns.interval)
-
-
 # ---------------------------------------------------------------------------
 # realized variance
 

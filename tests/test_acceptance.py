@@ -30,7 +30,7 @@ from arrkit.market_data import (
     synthetic_calendar,
 )
 from arrkit.nn import LossSpec, dropout_mask, gradient_check, init_params
-from arrkit.pca import absorption_ratio, fit_pca, jacobi_eigh, pca_reconstruct
+from arrkit.pca import absorption_ratio, eigh_descending, fit_pca, pca_reconstruct
 from arrkit.pipeline import _subset_dataset
 from arrkit.returns_metrics import (
     ReturnsPanel,
@@ -167,7 +167,7 @@ def test_04_eigensolver_fidelity(verdict):
         size = int(rng.integers(1, 21))
         raw = rng.standard_normal((size, size)) * float(rng.uniform(0.1, 10.0))
         a = (raw + raw.T) / 2.0
-        lam, vec = jacobi_eigh(a)
+        lam, vec = eigh_descending(a)
         recon = vec @ np.diag(lam) @ vec.T
         worst_recon = max(
             worst_recon, np.linalg.norm(recon - a) / np.linalg.norm(a)

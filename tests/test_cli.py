@@ -3,16 +3,18 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import arrkit.pipeline
 from arrkit.cli import main
-from arrkit.config import RunConfig, SplitSpec, save_config
+from arrkit.config import RunConfig, SplitSpec, config_hash, data_hash, load_config, save_config
 from arrkit.market_data import (
     CoMovementSpec,
     RegimeSpec,
@@ -522,3 +524,91 @@ def test_stage_run_before_its_inputs_exist_fails_cleanly(tmp_path):
     rc, _, err = _run(["arr", "--config", cfg_path])
     assert rc == 1
     assert _error_payload(err)["message"]
+
+
+# ---------------------------------------------------------------------------
+# config parsing: pinned hashes and malformed shapes
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (config_hash, data_hash) of every config the tests, scripts and benchmark run; a
+# change to config parsing must leave each of them as it is
+PINNED_HASHES = {
+    "cli_full": ("0501f5c55c72615a9b526e8a3ac07a9ace28e19297a1f330aba203c0eb0509d3",
+                 "0cc191bb049fb859f2df7889fb2ce9a6728b280630a31bdf7a6e078b5766546c"),
+    "cli_tiny": ("9418498840fa69e36fa48a3ae3c366b5633bea345f1a5140660bf0c2b306e0b5",
+                 "b33ade3ce11eb662308ff2f3bd316c22183e875c1cbef2858f52ea6e1afcc310"),
+    "cli_csv": ("08f1293c5dcbfc1960db2ee52c96cc48d8729ca8efa3b01ddcdf84ca9432dfd0",
+                "f4b6d0f5f16d0b2f06097c6c46d86950418689f9d9fabe427d199421bf0e5b16"),
+    "gate8": ("ee7b49ff5554f9d4dad74c57675f7567cb8e7714819841fd53311531310bf13a",
+              "d3e5ff9300bc8ad8988650b9ecb796343f996050a9147369802923777066e1fd"),
+    "quick_start": ("a44eacc1551c5f819375d3e2dbb76ae14b4942d7945ab87e77274ced86b51206",
+                    "c283d6ab8df3ab507640f5027d2a63c998c986fd77accccb338b952e0694899a"),
+    "bench_synthetic": ("fa5811553a3461f1a11eea6e45b4b5364b46453bdce0c3b3b2753c053fa3c794",
+                        "7f0576baba1cb793f3eb78977a3b16655dcbaceafa593ce233887b3b8ca7f88e"),
+    "bench_csv": ("e43f05f029257791b8f7c4ffeabcc7a328bb9a2be8622af872fd8c0de4ab9a14",
+                  "0b17a6ac26cbb1d6b1fd1783bc50b4d722539f36c3a94024389e20bd3d9d2341"),
+}
+
+
+def _module_from_file(monkeypatch, *parts):
+    path = os.path.join(REPO, *parts)
+    spec = importlib.util.spec_from_file_location(os.path.splitext(parts[-1])[0], path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pinned_configs_keep_their_hashes(tmp_path, monkeypatch):
+    from test_acceptance import _pipeline_config
+
+    quick_start = _module_from_file(monkeypatch, "scripts", "run_pipeline.py")
+    workloads = _module_from_file(monkeypatch, "benchmark", "workloads.py")
+    configs = {
+        "cli_full": _full_config("run"),
+        "cli_tiny": _tiny_config("run"),
+        "cli_csv": _csv_config(_tiny_config("run"), "ticks.csv", "run"),
+        "gate8": _pipeline_config("run"),
+        "quick_start": quick_start.default_config("runs/demo", 7),
+        "bench_synthetic": workloads.synthetic_config(0, "run"),
+        "bench_csv": workloads.csv_config("ticks.csv", "run"),
+    }
+    for name, cfg in configs.items():
+        parsed = load_config(_save(cfg, str(tmp_path), f"{name}.json"))
+        assert parsed == cfg, name
+        assert (config_hash(parsed), data_hash(parsed)) == PINNED_HASHES[name], name
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["data"].pop("synthetic"), "config missing required field: data.synthetic"),
+    (lambda d: d["data"]["synthetic"].pop("n_assets"),
+     "config missing required field: data.synthetic.n_assets"),
+    (lambda d: d["splits"].pop("test"), "config missing required field: splits.test"),
+    (lambda d: d["data"]["synthetic"]["comovement"].update(share=0.5),
+     "unknown config field: data.synthetic.comovement.share"),
+    (lambda d: d["data"]["synthetic"].update(regimes=[[0, 16, 1.0]]),
+     "data.synthetic.regimes rows must be "
+     "[start, stop, factor_loading_scale, idiosyncratic_vol]"),
+    (lambda d: d.update(data="synthetic"), "config field data must be a JSON object"),
+    (lambda d: d.update(search=[5]), "config field search must be a JSON object"),
+    (lambda d: d.update(frequencies=300), "malformed config: 'int' object is not iterable"),
+    (lambda d: d["data"].update(csv_path="ticks.csv"), "unknown config field: data.csv_path"),
+    (lambda d: d.update(horizon=[300]), "unknown config field: horizon"),
+    (lambda d: d["search"].update(forecast_iteration=5),
+     "unknown config field: search.forecast_iteration"),
+], ids=["no-synthetic", "no-n_assets", "no-test-split", "comovement-key", "regime-row",
+        "string-data", "list-search", "number-frequencies", "csv-key-on-synthetic",
+        "horizon", "forecast_iteration"])
+def test_malformed_config_ends_in_one_json_line(tmp_path, edit, message):
+    cfg_path = _save(_full_config(str(tmp_path / "run")), str(tmp_path))
+    with open(cfg_path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    rc, out, err = _run(["generate", "--config", cfg_path])
+    assert rc == 1 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert _error_payload(err) == {"type": "ValueError", "message": message}
+    assert not os.path.exists(tmp_path / "run")

@@ -188,6 +188,31 @@ def test_from_dict_rejects_bad_payloads(tmp_path):
         load_config(bad)
 
 
+def _objects(tree, path=""):
+    """Every JSON object in a config dict, with its dotted path."""
+    yield path, tree
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _objects(value, f"{path}.{key}" if path else key)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_unknown_keys_are_refused_at_every_level(source):
+    if source == "synthetic":
+        cfg = _config(synthetic=_synth(comovement=True), analyze_source="pca")
+    else:
+        cfg = _config(data_source="csv", synthetic=None, csv_path="ticks.csv",
+                      csv_dates=("2012-01-03",) * 16, csv_half_days=("2012-01-05",))
+    paths = [path for path, _ in _objects(config_to_dict(cfg))]
+    assert len(paths) == (8 if source == "synthetic" else 6)
+    for path in paths:
+        payload = config_to_dict(cfg)
+        dict(_objects(payload))[path]["horizon"] = [300]
+        name = f"{path}.horizon" if path else "horizon"
+        with pytest.raises(ValueError, match=f"unknown config field: {name}$"):
+            config_from_dict(payload)
+
+
 # ---------------------------------------------------------------------------
 # hashing
 

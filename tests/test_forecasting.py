@@ -1,7 +1,5 @@
 """Forecasting stack: feature assembly, four model families, CV random search."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,10 +15,9 @@ from arrkit.forecasting import (
     fit_ridge,
     oversample_minority,
     random_search_cv,
-    write_trials_jsonl,
 )
 from arrkit.market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK
-from arrkit.returns_metrics import CrashLabels, RiskSeries
+from arrkit.returns_metrics import CrashLabels, RiskSeries, crash_labels
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +137,16 @@ def test_classification_target_is_exact_stamp_crash_label():
     np.testing.assert_array_equal(ds.target, (z[idx] < -1.5).astype(ds.target.dtype))
 
 
+def test_empty_crash_labels_name_the_warm_up():
+    rv, arr = _series_maps(n_sessions=16)
+    daily = rv[ONE_DAY].timestamps
+    market = RiskSeries(daily, np.random.default_rng(0).normal(size=len(daily)), "return", ONE_DAY)
+    crash = crash_labels(market, half_life=10.0)  # the first 30 stamps are warm-up
+    assert len(crash.labels) == 0
+    with pytest.raises(ValueError, match="1day horizon: 16 windows against 30 warm-up stamps"):
+        build_features(rv, arr, ONE_DAY, include_arr=True, crash=crash)
+
+
 def test_build_features_validation():
     rv, arr = _series_maps()
     with pytest.raises(ValueError, match="missing frequencies: 5min"):
@@ -164,7 +171,7 @@ def test_dataset_container_invariants():
         include_arr=False,
         task="regression",
     )
-    assert ForecastDataset(**base).n_features == 1
+    assert ForecastDataset(**base).features.shape == (3, 1)
     with pytest.raises(ValueError, match="unknown task"):
         ForecastDataset(**{**base, "task": "ranking"})
     with pytest.raises(ValueError, match="leakage"):
@@ -552,23 +559,3 @@ def test_default_grids_cover_all_families():
     assert set(FORECAST_GRIDS) == {"ridge", "logistic_l1", "gbdt", "mlp"}
     assert FORECAST_GRIDS["logistic_l1"]["c"] == (0.01, 0.1, 1.0, 10.0, 100.0)
     assert FORECAST_GRIDS["ridge"]["fit_intercept"] == (False, True)
-
-
-# ---------------------------------------------------------------------------
-# writers
-
-
-def test_trials_jsonl_round_trip(tmp_path):
-    ds = _reg_dataset(seed=19)
-    result = random_search_cv(ds, "ridge", grid={"alpha": (0.1, -1.0), "fit_intercept": (True,)},
-                              iterations=6, folds=2, seed=5)
-    path = tmp_path / "trials.jsonl"
-    write_trials_jsonl(result.trials, path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == 6
-    for row, trial in zip(rows, result.trials):
-        assert row["arm"] == trial.arm
-        assert row["params"]["alpha"] == trial.params["alpha"]
-        assert (row["error"] is None) == (trial.error is None)
-        if trial.fold_scores:
-            assert row["fold_scores"] == list(trial.fold_scores)

@@ -91,15 +91,6 @@ class TestTickPanelValidation:
         with pytest.raises(ValueError):
             TickPanel(ts, prices, ("A",), si)
 
-    def test_select_sessions_rebases(self):
-        cfg = small_config(n_sessions=3)
-        panel = generate_synthetic_market(cfg)
-        sub = panel.select_sessions(1, 3)
-        assert sub.session_index.min() == 0 and sub.session_index.max() == 1
-        assert sub.n_rows == 2 * SESSION_SECONDS
-        with pytest.raises(ValueError, match="no rows"):
-            panel.select_sessions(7, 9)
-
 
 def test_session_slices_roundtrip():
     si = np.array([0, 0, 1, 1, 1, 2], dtype=np.int64)
@@ -323,20 +314,6 @@ def test_csv_loader_matches_plain_oracle(
     assert panel.asset_ids == expected_ids
     assert np.array_equal(panel.prices.view(np.uint64), expected.view(np.uint64))
     assert np.array_equal(panel.timestamps, calendar.grid()[0])
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    n_sessions=st.integers(min_value=1, max_value=3),
-    start=st.integers(min_value=0, max_value=2),
-)
-def test_select_sessions_property(n_sessions, start):
-    if start >= n_sessions:
-        start = n_sessions - 1
-    panel = generate_synthetic_market(small_config(n_assets=3, n_sessions=n_sessions, seed=1))
-    sub = panel.select_sessions(start, n_sessions)
-    assert sub.n_rows == (n_sessions - start) * SESSION_SECONDS
-    assert sub.session_index[0] == 0
 
 
 def test_config_validation_errors():

@@ -15,7 +15,6 @@ from arrkit.returns_metrics import (
     CrashLabels,
     ReturnsPanel,
     RiskSeries,
-    asset_return_series,
     crash_labels,
     drawdown,
     ewm_stats,
@@ -363,13 +362,6 @@ def test_risk_series_kind_validation():
         RiskSeries(np.array([1]), np.array([0.5]), "mystery", 300)
     with pytest.raises(ValueError):
         RiskSeries(np.array([1]), np.array([-0.5]), "drawdown", 300)  # negative drawdown
-
-
-def test_asset_return_series(tiny_returns):
-    asset = tiny_returns.asset_ids[2]
-    series = asset_return_series(tiny_returns, asset)
-    assert np.array_equal(series.values, tiny_returns.column(asset))
-    assert series.kind == "return"
 
 
 def test_returns_panel_select_sessions(tiny_returns):
