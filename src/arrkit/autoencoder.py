@@ -16,14 +16,7 @@ import numpy as np
 
 from .arr import ReconstructionResult
 from .nn import (
-    DenseNet,
-    LossSpec,
-    Params,
-    TrainConfig,
-    TrainingDiverged,
-    forward,
-    init_params,
-    train_dense_net,
+    DenseNet, LossSpec, Params, TrainConfig, TrainingDiverged, forward, init_params, train_dense_net,
 )
 from .returns_metrics import ReturnsPanel
 
@@ -79,10 +72,6 @@ class AutoencoderModel:
     def n_assets(self) -> int:
         return len(self.asset_ids)
 
-    @property
-    def latent_dim(self) -> int:
-        return self.net.dims[2]
-
     def normalize(self, returns: np.ndarray) -> np.ndarray:
         return (returns - self.mean) / self.std
 
@@ -98,24 +87,6 @@ class AutoencoderModel:
             raise ValueError("asset dimension mismatch")
         tod = np.atleast_1d(time_of_day(timestamps))
         return np.hstack([self.normalize(r), tod[:, None]])
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Bottleneck activation for pre-normalized inputs (N+1 features)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.net.dims[0]:
-            raise ValueError("feature dimension mismatch")
-        half = DenseNet(self.net.dims[:3], self.net.activations[:2])
-        z, _ = forward(half, self.params[:2], x)
-        return z
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        """Raw-scale reconstructed returns from bottleneck values."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if z.shape[1] != self.latent_dim:
-            raise ValueError("latent dimension mismatch")
-        half = DenseNet(self.net.dims[2:], self.net.activations[2:])
-        out, _ = forward(half, self.params[2:], z)
-        return self.denormalize(out)
 
 
 def train_autoencoder(
@@ -149,10 +120,9 @@ def train_autoencoder(
     net = build_ae_net(train.n_assets)
     model = AutoencoderModel(net, init_params(net, rng), mean, std, train.asset_ids)
     x_tr, x_val = (model.features(p.returns, p.timestamps) for p in (train, val))
-    # targets: the inputs without the time-of-day column, contiguous for fast row takes
-    y_tr, y_val = (np.ascontiguousarray(x[:, :-1]) for x in (x_tr, x_val))
+    # no targets: they are the inputs without the time-of-day column, read as views of each batch
     spec = LossSpec("mse", l1_weight=config.l1_weight, l1_layer=1)
-    best_params, history = train_dense_net(net, model.params, x_tr, y_tr, x_val, y_val, spec, config, rng)
+    best_params, history = train_dense_net(net, model.params, x_tr, None, x_val, None, spec, config, rng)
     return replace(model, params=best_params), history
 
 

@@ -6,6 +6,11 @@ row-major W, then its b) that training updates, clips and snapshots in a few vec
 [W, b] pairs that `forward`, the serializer and the models take are views into it. Input
 dropout is the inverted kind (mask pre-scaled by 1/(1-rate)) and is applied to the raw
 input vector only, never at inference.
+
+The passes run feature-major: activations and deltas are (width, rows) arrays in
+per-layer buffers (`Workspace`, allocated once per training run), so every elementwise op,
+bias add and bias-gradient sum runs along the long contiguous rows axis. `forward` and
+`loss_and_grads` take and return (rows, width) arrays, the transposes of those buffers.
 """
 
 from __future__ import annotations
@@ -18,16 +23,22 @@ import numpy as np
 ACTIVATIONS = ("elu", "relu", "sigmoid", "identity")
 
 
-def elu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+def elu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(expm1(min(z, 0)), z); the + 0.0 turns the -0.0 of z = -0.0 into 0.0, so the
+    result equals np.where(z > 0, z, expm1(min(z, 0))) bit for bit."""
+    out = np.minimum(z, 0.0, out=out)
+    np.expm1(out, out=out)
+    np.maximum(out, z, out=out)
+    out += 0.0
+    return out
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(z) if out is None else out
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -35,18 +46,20 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-_FORWARD = {"elu": elu, "relu": relu, "sigmoid": sigmoid, "identity": lambda z: z}
+_FORWARD = {"elu": elu, "relu": relu, "sigmoid": sigmoid}
 
 
-def _backprop_activation(name: str, d_a: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d_a times the activation's derivative at z, where a is the activation."""
+def _backprop_activation(name: str, d: np.ndarray, z: np.ndarray, a: np.ndarray) -> None:
+    """Multiplies d (holding d_a) in place by the activation's derivative at z, where a is
+    the activation. The elu branch overwrites a, which the backward pass no longer needs."""
     if name == "elu":  # 1 where z > 0, else a + 1: that is min(a, 0) + 1, with no z > 0 mask
-        return d_a * (np.minimum(a, 0.0) + 1.0)
-    if name == "relu":
-        return d_a * (z > 0)
-    if name == "sigmoid":
-        return d_a * (a * (1.0 - a))
-    return d_a
+        np.minimum(a, 0.0, out=a)
+        a += 1.0
+        d *= a
+    elif name == "relu":
+        d *= z > 0
+    elif name == "sigmoid":
+        d *= a * (1.0 - a)
 
 
 @dataclass(frozen=True)
@@ -112,21 +125,48 @@ def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) 
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def forward(net: DenseNet, params: Params, x: np.ndarray, input_mask: np.ndarray | None = None):
-    """Returns (output, caches); caches hold per-layer (input, pre-activation, activation)."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[None, :]
-    if input_mask is not None:
-        a = a * input_mask
+class Workspace:
+    """Feature-major (width, rows) buffers for passes over `rows` rows: per layer z and the
+    activation (z itself for identity); for training also the gathered batch, the masked
+    input and per layer the delta."""
+
+    def __init__(self, net: DenseNet, rows: int, train: bool = True):
+        self.z = [np.empty((width, rows)) for width in net.dims[1:]]
+        self.a = [z if act == "identity" else np.empty_like(z) for z, act in zip(self.z, net.activations)]
+        self.batch, self.masked = np.empty((2, net.dims[0], rows)) if train else (None, None)
+        self.d = [np.empty_like(z) for z in self.z] if train else None
+
+
+def _feature_major(x, input_mask=None):
+    """x (rows, width) or one row, and its input mask, as (width, rows) arrays; an x whose
+    transpose is C-contiguous is not copied."""
+    x = np.asarray(x, dtype=np.float64)
+    x = x[None, :] if x.ndim == 1 else x
+    return np.ascontiguousarray(x.T), None if input_mask is None else np.atleast_2d(input_mask).T
+
+
+def _forward_t(net: DenseNet, params: Params, xt: np.ndarray, mask_t, work: Workspace):
+    """Feature-major pass of xt through work's buffers: per-layer (input, z, activation)."""
+    a = xt if mask_t is None else np.multiply(xt, mask_t, out=work.masked)
     caches = []
-    for (w, b), act in zip(params, net.activations):
-        z = a @ w
-        z += b
-        a_next = _FORWARD[act](z)
+    for (w, b), act, z, a_next in zip(params, net.activations, work.z, work.a):
+        if w.shape[1] == 1:  # BLAS would run a gemv whose rounding depends on the row count
+            np.add.reduce(w * a, axis=0, out=z[0])
+        else:
+            np.matmul(w.T, a, out=z)
+        z += b[:, None]
+        if act != "identity":
+            _FORWARD[act](z, out=a_next)
         caches.append((a, z, a_next))
         a = a_next
-    return a, caches
+    return caches
+
+
+def forward(net: DenseNet, params: Params, x: np.ndarray, input_mask: np.ndarray | None = None):
+    """Returns (output, caches); caches hold per-layer (input, pre-activation, activation)."""
+    xt, mask_t = _feature_major(x, input_mask)
+    caches = _forward_t(net, params, xt, mask_t, Workspace(net, xt.shape[1], train=False))
+    return caches[-1][2].T, [(a_prev.T, z.T, a.T) for a_prev, z, a in caches]
 
 
 @dataclass(frozen=True)
@@ -170,39 +210,35 @@ def fit_term(spec: LossSpec, out: np.ndarray, y: np.ndarray, z_out: np.ndarray |
 
 
 def loss_and_grads(
-    net: DenseNet,
-    params: Params,
-    x: np.ndarray,
-    y: np.ndarray,
-    spec: LossSpec,
-    input_mask: np.ndarray | None = None,
-    grads: Params | None = None,
+    net: DenseNet, params: Params, x: np.ndarray, y: np.ndarray, spec: LossSpec,
+    input_mask: np.ndarray | None = None, grads: Params | None = None, work: Workspace | None = None,
 ):
     """Full-batch loss (fit + penalties) and its parameter gradients, written into grads
-    ([dW, db] buffers, views of one flat vector) or into new ones when it is None."""
-    out, caches = forward(net, params, x, input_mask)
+    ([dW, db] buffers, views of one flat vector) or into new ones when it is None. The
+    pass runs through work's buffers when given (sized for x's rows)."""
+    xt, mask_t = _feature_major(x, input_mask)
+    b, d_out = xt.shape[1], net.dims[-1]
+    work = Workspace(net, b) if work is None else work
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    b, d_out = out.shape
+    y_t = (y[:, None] if y.ndim == 1 else y).T
+    caches = _forward_t(net, params, xt, mask_t, work)
+    out, z_out = caches[-1][2], caches[-1][1]
     last = net.n_layers - 1
-    if grads is None:
-        _, grads = param_views(net)
+    grads = param_views(net)[1] if grads is None else grads
 
+    d = np.subtract(out, y_t, out=work.d[last])
     if spec.kind == "mse":
-        diff = out - y
-        loss = float(np.sum(diff * diff) / (b * d_out))
-        d_a = 2.0 * diff / (b * d_out)
-        if spec.l1_weight > 0 and spec.l1_layer == last:
-            d_a += spec.l1_weight * np.sign(out) / b
-        d_z = _backprop_activation(net.activations[-1], d_a, *caches[-1][1:])
+        flat = d.reshape(-1)
+        loss = float(np.dot(flat, flat)) / (b * d_out)
+        d *= 2.0
+        d /= b * d_out
     else:
         if net.activations[-1] != "sigmoid":
             raise ValueError("bce loss requires a sigmoid output layer")
         if spec.l1_weight > 0 and spec.l1_layer == last:
             raise ValueError("l1 on the output layer is not supported for bce")
-        loss = fit_term(spec, out, y, z_out=caches[-1][1])
-        d_z = (out - y) / b
+        loss = fit_term(spec, out.T, y_t.T, z_out=z_out.T)
+        d /= b
 
     fit = loss  # the data term, before penalties
     l1_total = 0.0
@@ -215,40 +251,33 @@ def loss_and_grads(
 
     for i in range(last, -1, -1):
         a_prev, z, a = caches[i]
+        d = work.d[i]
         if i < last:
-            d_a = d_z @ params[i + 1][0].T
-            if spec.l1_weight > 0 and i == spec.l1_layer:
-                d_a += spec.l1_weight * np.sign(a) / b
-            d_z = _backprop_activation(net.activations[i], d_a, z, a)
+            np.matmul(params[i + 1][0], work.d[i + 1], out=d)
+        if spec.l1_weight > 0 and i == spec.l1_layer:
+            d += spec.l1_weight * np.sign(a) / b
+        if i < last or spec.kind == "mse":  # a bce delta is already taken through the sigmoid
+            _backprop_activation(net.activations[i], d, z, a)
         d_w, d_b = grads[i]
-        np.matmul(a_prev.T, d_z, out=d_w)
+        np.matmul(a_prev, d.T, out=d_w)
         if spec.l2_weight > 0:
             d_w += spec.l2_weight * params[i][0] / b
-        np.add.reduce(d_z, axis=0, out=d_b)
+        np.add.reduce(d, axis=1, out=d_b)
     return loss, grads, {"fit": fit, "l1": l1_total}
 
 
-def clip_global_norm(flat: np.ndarray, bounds, max_norm: float) -> float:
+def clip_global_norm(flat: np.ndarray, max_norm: float) -> float:
     """Scale a flat gradient in place so its L2 norm is at most max_norm; returns the
-    norm before clipping. The squares are summed per piece (flat[bounds[k]:bounds[k+1]],
-    each W and b) and the sums added in order: the norm rounds as for separate arrays."""
-    sq = flat * flat
-    total = math.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in zip(bounds, bounds[1:])))
+    norm before clipping, one dot product of the vector with itself."""
+    total = math.sqrt(float(np.dot(flat, flat)))
     if total > max_norm and total > 0:
         flat *= max_norm / total
     return total
 
 
 def adam_step(
-    theta: np.ndarray,
-    g: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float,
+    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> None:
     """Adam step number t (from 1), with bias correction: updates theta and the moment
     vectors m and v in place."""
@@ -279,14 +308,8 @@ class TrainConfig:
 
 
 def train_dense_net(
-    net: DenseNet,
-    params: Params,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    spec: LossSpec,
-    cfg: TrainConfig,
+    net: DenseNet, params: Params, x_train: np.ndarray, y_train: np.ndarray | None,
+    x_val: np.ndarray, y_val: np.ndarray | None, spec: LossSpec, cfg: TrainConfig,
     rng: np.random.Generator,
 ):
     """Minibatch Adam with early stopping on the penalty-free validation fit.
@@ -294,36 +317,43 @@ def train_dense_net(
     Trains a flat copy of params, which are left as they are. Returns (best_params,
     history); history rows carry epoch, mean train loss and validation fit. The
     parameters from the best validation epoch are returned even when the run exhausts
-    max_epochs.
+    max_epochs. y_train and y_val of None make the targets the first dims[-1] input
+    columns (an autoencoder's), read as views of each gathered batch.
     """
-    n = x_train.shape[0]
+    d_out = net.dims[-1]
+    x_rows = np.ascontiguousarray(x_train, dtype=np.float64)  # rows gather fast, then transpose
+    y_rows = None if y_train is None else np.ascontiguousarray(y_train, dtype=np.float64)
+    xv_t, _ = _feature_major(x_val)
+    yv = xv_t[:d_out].T if y_val is None else y_val
     theta, live = param_views(net, flatten(params))
     g, grads = param_views(net)
-    bounds = np.cumsum([0] + [p.size for pair in grads for p in pair]).tolist()
     m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
+    works = {}  # rows -> Workspace: the full batch and the ragged last one
+    val_work = Workspace(net, xv_t.shape[1], train=False)
     best_fit = math.inf
     best = theta.copy()
     bad_epochs = 0
     history = []
     for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(x_rows.shape[0])
         epoch_losses = []
-        for step, lo in enumerate(range(0, n, cfg.batch_size)):
+        for step, lo in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[lo : lo + cfg.batch_size]
-            xb, yb = x_train.take(idx, axis=0), y_train.take(idx, axis=0)  # faster than x[idx]
-            mask = None
-            if cfg.dropout_rate > 0:
-                mask = dropout_mask(rng, xb.shape, cfg.dropout_rate)
-            loss, _, _ = loss_and_grads(net, live, xb, yb, spec, input_mask=mask, grads=grads)
+            work = works.get(idx.size) or works.setdefault(idx.size, Workspace(net, idx.size))
+            np.copyto(work.batch, x_rows.take(idx, axis=0).T)
+            xb = work.batch.T
+            yb = xb[:, :d_out] if y_rows is None else y_rows.take(idx, axis=0)
+            mask = dropout_mask(rng, xb.shape, cfg.dropout_rate) if cfg.dropout_rate > 0 else None
+            loss, _, _ = loss_and_grads(net, live, xb, yb, spec, mask, grads, work)
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, step)
             if cfg.clip_norm is not None:
-                clip_global_norm(g, bounds, cfg.clip_norm)
+                clip_global_norm(g, cfg.clip_norm)
             t += 1
             adam_step(theta, g, m, v, t, cfg.learning_rate)
             epoch_losses.append(loss)
-        out_val, caches_val = forward(net, live, x_val)
-        val_fit = fit_term(spec, out_val, y_val, z_out=caches_val[-1][1])
+        _, z_val, out_val = _forward_t(net, live, xv_t, None, val_work)[-1]
+        val_fit = fit_term(spec, out_val.T, yv, z_out=z_val.T)
         if not math.isfinite(val_fit):
             raise TrainingDiverged(epoch, -1)
         history.append(
@@ -341,13 +371,8 @@ def train_dense_net(
 
 
 def gradient_check(
-    net: DenseNet,
-    params: Params,
-    x: np.ndarray,
-    y: np.ndarray,
-    spec: LossSpec,
-    input_mask: np.ndarray | None = None,
-    step: float = 1e-6,
+    net: DenseNet, params: Params, x: np.ndarray, y: np.ndarray, spec: LossSpec,
+    input_mask: np.ndarray | None = None, step: float = 1e-6,
 ) -> float:
     """Max relative error between analytic and central-difference gradients."""
     theta, live = param_views(net, flatten(params))

@@ -215,12 +215,16 @@ def cmd_generate(cfg: RunConfig, out_dir) -> dict:
 
 
 def _ae_trials_jsonl(trials, path) -> None:
+    """One line per search arm, with its learning curve: per-epoch train loss and
+    validation fit (empty for a diverged arm)."""
     with open(path, "w", encoding="utf-8") as fh:
         for t in trials:
             fh.write(json.dumps({
                 "arm": t.arm,
                 "config": dataclasses.asdict(t.config),
                 "epochs": len(t.history),
+                "train_loss": [h["train_loss"] for h in t.history],
+                "val_fit": [h["val_fit"] for h in t.history],
                 "val_loss": t.val_loss,
                 "error": t.error,
             }, sort_keys=True) + "\n")
@@ -259,6 +263,7 @@ def cmd_train(cfg: RunConfig, out_dir) -> dict:
         _ae_trials_jsonl(search.trials, os.path.join(directory, "ae_trials.jsonl"))
         outputs += ["autoencoder.json", "ae_trials.jsonl"]
         extra["ae_trials"] = len(search.trials)
+        extra["ae_trials_diverged"] = sum(t.error is not None for t in search.trials)
         extra["ae_val_loss"] = search.best_val_loss
 
     if cfg.models in ("both", "pca"):

@@ -83,19 +83,6 @@ def test_features_layout():
         model.features(np.ones((2, 4)), ts[:2])
 
 
-def test_encode_decode_composition_equals_full_forward():
-    model = _blank_model(seed=4)
-    x = np.random.default_rng(5).normal(size=(9, 6))
-    z = model.encode(x)
-    assert z.shape == (9, model.latent_dim)
-    full, _ = forward(model.net, model.params, x)
-    np.testing.assert_array_equal(model.decode(z), model.denormalize(full))
-    with pytest.raises(ValueError, match="feature dimension"):
-        model.encode(np.ones((2, 5)))
-    with pytest.raises(ValueError, match="latent dimension"):
-        model.decode(np.ones((2, model.latent_dim + 1)))
-
-
 def test_model_rejects_non_positive_std():
     net = build_ae_net(5)
     with pytest.raises(ValueError, match="std"):

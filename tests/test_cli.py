@@ -195,6 +195,28 @@ def test_train_outputs(run):
     record = json.loads(trials[0])
     assert record["arm"] == 0
     assert "config" in record and "val_loss" in record
+    # the learning curve: one train loss and one validation fit per epoch
+    assert record["error"] is None
+    assert len(record["train_loss"]) == len(record["val_fit"]) == record["epochs"] > 0
+    assert record["val_loss"] == min(record["val_fit"])
+    with open(os.path.join(models_dir, "manifest.json"), "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["ae_trials"] == 1 and manifest["ae_trials_diverged"] == 0
+
+
+def test_ae_trials_log_keeps_learning_curves_and_errors(tmp_path):
+    from arrkit.autoencoder import AeTrainConfig, AeTrial
+
+    history = ({"epoch": 0, "train_loss": 0.9, "val_fit": 0.8}, {"epoch": 1, "train_loss": 0.7, "val_fit": 0.75})
+    trials = (
+        AeTrial(arm=0, config=AeTrainConfig(), history=history, val_loss=0.75),
+        AeTrial(arm=1, config=AeTrainConfig(), error="training diverged: non-finite loss at epoch 0, step 3"),
+    )
+    path = str(tmp_path / "ae_trials.jsonl")
+    arrkit.pipeline._ae_trials_jsonl(trials, path)
+    ok, failed = (json.loads(line) for line in _read_lines(path))
+    assert ok["train_loss"] == [0.9, 0.7] and ok["val_fit"] == [0.8, 0.75] and ok["epochs"] == 2
+    assert failed["train_loss"] == [] and failed["val_fit"] == [] and failed["error"].startswith("training diverged")
 
 
 # ---------------------------------------------------------------------------

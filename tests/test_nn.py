@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrkit.nn as nn
 from arrkit.nn import (
+    ACTIVATIONS,
     DenseNet,
     LossSpec,
     TrainConfig,
     TrainingDiverged,
+    Workspace,
     adam_step,
     clip_global_norm,
     dropout_mask,
@@ -36,6 +40,16 @@ def test_elu_matches_piecewise_definition():
     z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
     expected = np.where(z > 0, z, np.array([math.expm1(v) for v in np.minimum(z, 0.0)]))
     np.testing.assert_allclose(elu(z), expected, rtol=0, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=20))
+def test_elu_equals_the_where_form_bit_for_bit(values):
+    z = np.array(values + [0.0, -0.0, -1e-300, 5e-324, -5e-324, -800.0])
+    expected = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+    assert elu(z).tobytes() == expected.tobytes()
+    out = np.empty_like(z)
+    assert elu(z, out=out) is out and out.tobytes() == expected.tobytes()
 
 
 def test_relu_matches_max_zero():
@@ -227,30 +241,178 @@ def test_gradients_bce_sigmoid_head_with_l2():
 
 
 # ---------------------------------------------------------------------------
+# the feature-major step against a batch-major oracle
+
+
+def _oracle_activation(name, z):
+    if name == "elu":
+        return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "sigmoid":
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+    return z
+
+
+def _oracle_backprop(name, d_a, z, a):
+    if name == "elu":
+        return d_a * (np.minimum(a, 0.0) + 1.0)
+    if name == "relu":
+        return d_a * (z > 0)
+    if name == "sigmoid":
+        return d_a * (a * (1.0 - a))
+    return d_a
+
+
+def _oracle_forward(net, params, x, input_mask=None):
+    """The batch-major (rows, width) pass the engine ran before it went feature-major."""
+    a = np.asarray(x, dtype=np.float64)
+    if input_mask is not None:
+        a = a * input_mask
+    caches = []
+    for (w, b), act in zip(params, net.activations):
+        z = a @ w + b
+        a_next = _oracle_activation(act, z)
+        caches.append((a, z, a_next))
+        a = a_next
+    return a, caches
+
+
+def _oracle_loss_and_grads(net, params, x, y, spec, input_mask=None):
+    out, caches = _oracle_forward(net, params, x, input_mask)
+    b, d_out = out.shape
+    last = net.n_layers - 1
+    if spec.kind == "mse":
+        diff = out - y
+        loss = float(np.sum(diff * diff) / (b * d_out))
+        d_a = 2.0 * diff / (b * d_out)
+        if spec.l1_weight > 0 and spec.l1_layer == last:
+            d_a += spec.l1_weight * np.sign(out) / b
+        d_z = _oracle_backprop(net.activations[-1], d_a, *caches[-1][1:])
+    else:
+        z = caches[-1][1]
+        loss = float(np.sum(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))) / b)
+        d_z = (out - y) / b
+    if spec.l1_weight > 0:
+        loss += spec.l1_weight * float(np.sum(np.abs(caches[spec.l1_layer][2]))) / b
+    if spec.l2_weight > 0:
+        loss += spec.l2_weight * sum(float(np.sum(w * w)) for w, _ in params) / (2.0 * b)
+    grads = [None] * net.n_layers
+    for i in range(last, -1, -1):
+        a_prev, z, a = caches[i]
+        if i < last:
+            d_a = d_z @ params[i + 1][0].T
+            if spec.l1_weight > 0 and i == spec.l1_layer:
+                d_a += spec.l1_weight * np.sign(a) / b
+            d_z = _oracle_backprop(net.activations[i], d_a, z, a)
+        d_w = a_prev.T @ d_z
+        if spec.l2_weight > 0:
+            d_w = d_w + spec.l2_weight * params[i][0] / b
+        grads[i] = [d_w, d_z.sum(axis=0)]
+    return loss, grads
+
+
+@st.composite
+def _step_cases(draw):
+    widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=5))
+    n_layers = len(widths) - 1
+    kind = draw(st.sampled_from(["mse", "bce"]))
+    acts = [draw(st.sampled_from(ACTIVATIONS)) for _ in range(n_layers)]
+    if kind == "bce":
+        acts[-1] = "sigmoid"
+    l1_layers = n_layers if kind == "mse" else n_layers - 1  # bce refuses l1 on its output
+    l1_layer = draw(st.integers(0, l1_layers - 1)) if l1_layers > 0 and draw(st.booleans()) else None
+    spec = LossSpec(
+        kind,
+        l1_weight=0.0 if l1_layer is None else 0.3,
+        l1_layer=l1_layer,
+        l2_weight=draw(st.sampled_from([0.0, 0.7])),
+    )
+    rows = draw(st.integers(1, 40))
+    batch = draw(st.integers(1, rows))  # rows % batch leaves a ragged last batch
+    targets_in_input = kind == "mse" and widths[-1] <= widths[0] and draw(st.booleans())
+    return (
+        DenseNet(tuple(widths), tuple(acts)),
+        spec,
+        rows,
+        batch,
+        draw(st.sampled_from([0.0, 0.4])),
+        targets_in_input,
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_cases())
+def test_feature_major_step_matches_the_batch_major_oracle(case):
+    """Each minibatch, gathered as train_dense_net gathers it (a full-size batch, a
+    ragged last one, a batch of one row), gives the oracle's loss and gradients."""
+    net, spec, rows, batch, rate, targets_in_input, seed = case
+    rng = np.random.default_rng(seed)
+    params = init_params(net, rng)
+    for w, b in params:
+        b[...] = rng.normal(scale=0.5, size=b.shape)
+    x = rng.normal(size=(rows, net.dims[0]))
+    if spec.kind == "bce":
+        y = (rng.random((rows, net.dims[-1])) < 0.5).astype(float)
+    else:
+        y = rng.normal(size=(rows, net.dims[-1]))
+    flat, grads = param_views(net)
+    works = {}
+    order = rng.permutation(rows)
+    for lo in range(0, rows, batch):
+        idx = order[lo : lo + batch]
+        work = works.setdefault(idx.size, Workspace(net, idx.size))
+        np.copyto(work.batch, x.take(idx, axis=0).T)
+        xb = work.batch.T
+        yb = xb[:, : net.dims[-1]] if targets_in_input else y.take(idx, axis=0)
+        mask = dropout_mask(rng, xb.shape, rate) if rate else None
+        want_loss, want = _oracle_loss_and_grads(net, params, xb.copy(), yb.copy(), spec, mask)
+        loss, got, _ = loss_and_grads(net, params, xb, yb, spec, mask, grads, work)
+        assert got is grads
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        want_flat = flatten(want)
+        scale = float(np.linalg.norm(want_flat))
+        assert np.abs(flat - want_flat).max() <= 1e-12 * scale
+        # the same batch through new buffers, as a caller without a workspace sees it
+        alone, fresh, _ = loss_and_grads(net, params, xb.copy(), yb.copy(), spec, input_mask=mask)
+        assert alone == loss
+        assert flatten(fresh).tobytes() == flat.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # clipping and Adam
 
 
 def test_clip_global_norm_rescales_joint_norm():
     flat = np.array([3.0, 4.0])  # a 1x1 W and a one-element b
-    total = clip_global_norm(flat, [0, 1, 2], 1.0)
+    total = clip_global_norm(flat, 1.0)
     assert total == pytest.approx(5.0)
     joint = math.sqrt(float(flat[0] ** 2) + float(flat[1] ** 2))
     assert joint == pytest.approx(1.0, rel=1e-15)
     np.testing.assert_array_equal(flat, [3.0 * (1.0 / 5.0), 4.0 * (1.0 / 5.0)])  # one in-place scale
     same = np.array([3.0, 4.0])
-    total2 = clip_global_norm(same, [0, 1, 2], 10.0)
+    total2 = clip_global_norm(same, 10.0)
     assert total2 == pytest.approx(5.0)
     np.testing.assert_array_equal(same, [3.0, 4.0])
 
 
-def test_clip_global_norm_sums_squares_piece_by_piece():
-    # one float64 sum over the whole vector rounds differently from per-array sums
+def test_clip_global_norm_is_one_dot_product():
+    # the norm is sqrt(g . g) over the whole flat vector, not a sum of per-array sums
     rng = np.random.default_rng(20)
     pieces = [rng.normal(size=(12, 6)), rng.normal(size=6), rng.normal(size=(6, 2)), rng.normal(size=2)]
     flat = np.concatenate([p.ravel() for p in pieces])
-    bounds = np.cumsum([0] + [p.size for p in pieces]).tolist()
-    total = clip_global_norm(flat, bounds, math.inf)
-    assert total == math.sqrt(sum(float(np.sum(p * p)) for p in pieces))
+    total = clip_global_norm(flat.copy(), math.inf)
+    assert total == math.sqrt(float(np.dot(flat, flat)))
+    assert total == pytest.approx(math.sqrt(sum(float(np.sum(p * p)) for p in pieces)), rel=1e-14)
+    scaled = flat.copy()
+    assert clip_global_norm(scaled, 0.5 * total) == total
+    np.testing.assert_array_equal(scaled, flat * (0.5 * total / total))
 
 
 def test_adam_step_matches_hand_arithmetic():
