@@ -134,9 +134,15 @@ def reconstruct_series(
         raise ValueError("reconstruction expects 1-second returns")
     if panel.asset_ids != model.asset_ids:
         raise ValueError("asset universe differs from the training universe")
+    n = panel.returns.shape[0]
+    # numpy runs a one-row product as a BLAS gemv, which rounds unlike the gemm of a
+    # larger chunk, so a one-row remainder joins the chunk before it
+    bounds = list(range(0, n, max(chunk_size, 2))) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
     out = np.empty_like(panel.returns)
-    for lo in range(0, panel.returns.shape[0], chunk_size):
-        sl = slice(lo, lo + chunk_size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sl = slice(lo, hi)
         x = model.features(panel.returns[sl], panel.timestamps[sl])
         y, _ = forward(model.net, model.params, x)
         out[sl] = model.denormalize(y)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -22,6 +21,23 @@ def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     ss_tot = float(np.sum((yt - yt.mean()) ** 2))
     ss_res = float(np.sum((yt - yp) ** 2))
     return 1.0 - ss_res / ss_tot
+
+
+def rankdata(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D float array, ties given their average rank; any NaN makes
+    every rank NaN. Ranks are integers or half-integers, so they are exact."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.ones(x.size, dtype=bool)
+    starts[1:] = xs[1:] != xs[:-1]
+    dense = np.cumsum(starts)  # 1-based tie group of each sorted element
+    ends = np.append(np.flatnonzero(starts), x.size)  # group g spans [ends[g-1], ends[g])
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (ends[dense] + ends[dense - 1] + 1)
+    return ranks
 
 
 def auroc(labels: np.ndarray, scores: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy import stats as sps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrkit.stats import (
     BootstrapResult,
@@ -12,6 +13,7 @@ from arrkit.stats import (
     kde_mass,
     paired_bootstrap,
     r_squared,
+    rankdata,
     spearman,
 )
 
@@ -121,10 +123,41 @@ def test_auroc_extremes_and_validation():
 
 
 # ---------------------------------------------------------------------------
+# ranks
+
+# few distinct values, so most draws tie; +-0.0 compare equal and must tie too
+_TIE_PRONE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_TIE_PRONE, st.floats(allow_nan=False, width=64)), max_size=40),
+    st.none() | st.integers(0, 40),
+)
+@example([], None)
+@example([3.0], None)
+@example([3.0], 0)
+@example([0.0, -0.0], None)
+@example([np.inf, -np.inf], 1)
+def test_rankdata_is_bitwise_scipy_rankdata(values, nan_at):
+    sps = pytest.importorskip("scipy.stats")
+    x = np.array(values, dtype=np.float64)
+    if nan_at is not None:
+        x = np.insert(x, min(nan_at, x.size), np.nan)
+    got = rankdata(x)
+    want = sps.rankdata(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if nan_at is not None:
+        assert np.isnan(got).all()
+
+
+# ---------------------------------------------------------------------------
 # Spearman
 
 
 def test_spearman_matches_scipy_with_ties():
+    sps = pytest.importorskip("scipy.stats")
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(5, 60))
