@@ -7,10 +7,12 @@ outputs, so manifests can prove two runs used identical settings.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 from datetime import date
+from typing import get_type_hints
 
 from .forecasting import FAMILIES
 from .market_data import (
@@ -23,10 +25,6 @@ from .market_data import (
 from .serialization import write_json
 
 SCHEMA_VERSION = 1
-
-DEFAULT_FREQUENCIES = tuple(WINDOWS)
-DEFAULT_REGRESSION_FAMILIES = ("ridge", "gbdt", "mlp")
-DEFAULT_CLASSIFICATION_FAMILIES = ("logistic_l1", "gbdt", "mlp")
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,10 @@ class RunConfig:
     csv_dates: tuple[str, ...] = ()
     csv_half_days: tuple[str, ...] = ()
     models: str = "both"  # "both" | "autoencoder" | "pca"
-    frequencies: tuple[int, ...] = DEFAULT_FREQUENCIES
-    horizons: tuple[int, ...] = DEFAULT_FREQUENCIES
-    regression_families: tuple[str, ...] = DEFAULT_REGRESSION_FAMILIES
-    classification_families: tuple[str, ...] = DEFAULT_CLASSIFICATION_FAMILIES
+    frequencies: tuple[int, ...] = tuple(WINDOWS)
+    horizons: tuple[int, ...] | None = None  # default: the frequencies
+    regression_families: tuple[str, ...] = ("ridge", "gbdt", "mlp")
+    classification_families: tuple[str, ...] = ("logistic_l1", "gbdt", "mlp")
     crash_half_life: float = 10.0
     crash_threshold: float = -1.5
     ae_search_iterations: int = 20
@@ -79,16 +77,24 @@ class RunConfig:
     output_dir: str = "run"
 
     def __post_init__(self):
+        if self.horizons is None:
+            object.__setattr__(self, "horizons", self.frequencies)
         if self.data_source not in ("synthetic", "csv"):
             raise ValueError(f"unknown data source {self.data_source!r}")
         if self.data_source == "synthetic" and self.synthetic is None:
             raise ValueError("synthetic source needs a synthetic block")
         if self.data_source == "csv" and (self.csv_path is None or not self.csv_dates):
             raise ValueError("csv source needs csv_path and csv_dates")
+        # a source's JSON holds its own fields only: the other's could not load back
+        csv_fields = self.csv_path is not None or self.csv_dates or self.csv_half_days
+        if self.data_source == "synthetic" and csv_fields:
+            raise ValueError("synthetic source takes no csv_path, csv_dates or csv_half_days")
+        if self.data_source == "csv" and self.synthetic is not None:
+            raise ValueError("csv source takes no synthetic block")
         if self.models not in ("both", "autoencoder", "pca"):
             raise ValueError(f"unknown models selection {self.models!r}")
         for f in self.frequencies:
-            if f not in DEFAULT_FREQUENCIES:
+            if f not in WINDOWS:
                 raise ValueError(f"unsupported frequency {f}")
         for h in self.horizons:
             if h not in self.frequencies:
@@ -124,35 +130,45 @@ class RunConfig:
         return "autoencoder" if self.models in ("both", "autoencoder") else "pca"
 
 
-def _synthetic_to_dict(cfg: SyntheticMarketConfig) -> dict:
-    out = {
-        "n_assets": cfg.n_assets,
-        "n_sessions": cfg.n_sessions,
-        "n_factors": cfg.n_factors,
-        "nonlinearity": cfg.nonlinearity,
-        "base_vol": cfg.base_vol,
-        "intraday_amplitude": cfg.intraday_amplitude,
-        "start_date": cfg.start_date.isoformat(),
-        "market_composite": cfg.market_composite,
-        "seed": cfg.seed,
-        "regimes": [
-            [r.start, r.stop, r.factor_loading_scale, r.idiosyncratic_vol]
-            for r in cfg.regime_schedule
-        ],
-    }
-    if cfg.comovement is not None:
-        c = cfg.comovement
-        out["comovement"] = {
-            "window_seconds": c.window_seconds,
-            "half_life_windows": c.half_life_windows,
-            "mean_share": c.mean_share,
-            "share_innovation": c.share_innovation,
-            "vol_feedback": c.vol_feedback,
+# Where a field sits in the config JSON, for the fields not stored under their own name;
+# a dotted path is a key of a nested object.
+_PATHS = {
+    "data_source": "data.source",
+    "synthetic": "data.synthetic",
+    "csv_path": "data.csv_path",
+    "csv_dates": "data.dates",
+    "csv_half_days": "data.half_days",
+    "regression_families": "families.regression",
+    "classification_families": "families.classification",
+    "crash_half_life": "crash.half_life",
+    "crash_threshold": "crash.threshold",
+    "ae_search_iterations": "search.ae_iterations",
+    "forecast_search_iterations": "search.forecast_iterations",
+    "cv_folds": "search.cv_folds",
+    "regime_schedule": "regimes",  # of SyntheticMarketConfig
+}
+
+_CASTS = {int: int, float: float, bool: bool, str: str, date: date.fromisoformat}
+_type_hints = functools.cache(get_type_hints)  # field types of a dataclass, evaluated once
+
+
+def _to_json(value):
+    """A config value as JSON: a dataclass becomes an object without its fields left at an
+    empty default (None or ()), a regime a 4-item row, a tuple a list, a date ISO text."""
+    if isinstance(value, RegimeSpec):
+        value = astuple(value)
+    if is_dataclass(value):
+        return {
+            _PATHS.get(f.name, f.name): _to_json(v)
+            for f in fields(value)
+            if not ((v := getattr(value, f.name)) in (None, ()) and v == f.default)
         }
-    return out
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value.isoformat() if isinstance(value, date) else value
 
 
-def _block(data, path: str, required: tuple = (), optional: tuple = ()) -> dict:
+def _block(data, path: str, required, keys) -> dict:
     """The object at `path`, refused if it lacks a required key or has an unread one."""
     if not isinstance(data, dict):
         raise ValueError(f"config field {path} must be a JSON object")
@@ -161,74 +177,65 @@ def _block(data, path: str, required: tuple = (), optional: tuple = ()) -> dict:
         if key not in data:
             raise ValueError(f"config missing required field: {prefix}{key}")
     for key in data:
-        if key not in required + optional:
+        if key not in keys:
             raise ValueError(f"unknown config field: {prefix}{key}")
     return data
 
 
-def _synthetic_from_dict(data: dict) -> SyntheticMarketConfig:
-    data = _block(data, "data.synthetic", ("n_assets", "n_sessions", "n_factors", "regimes"), (
-        "nonlinearity", "seed", "base_vol", "intraday_amplitude", "start_date",
-        "market_composite", "comovement",
-    ))
-    comovement = None
-    if "comovement" in data:
-        keys = tuple(f.name for f in fields(CoMovementSpec))
-        comovement = CoMovementSpec(**_block(data["comovement"], "data.synthetic.comovement", (), keys))
+def _cast(kind, value):
+    """A JSON value as a field of type `kind`; a list always becomes a tuple."""
+    if kind in _CASTS:
+        return _CASTS[kind](value)
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _read(cls, data, path: str, skip=(), required=()) -> dict:
+    """The constructor arguments of dataclass `cls` held in the JSON object at `path`.
+
+    A field sits at its `_PATHS` entry or under its own name. A field without a default,
+    or named in `required`, must be present; a missing one takes its default; any key no
+    field claims is refused. Fields named in `skip` are not read.
+    """
+    layout = {"": {}}  # object at `path` ("") or nested in it -> {key: field}
+    for f in fields(cls):
+        if f.name not in skip:
+            head, _, key = _PATHS.get(f.name, f.name).rpartition(".")
+            layout.setdefault(head, {})[key] = f
+    needed = {
+        head: [key for key, f in members.items() if f.default is MISSING or f.name in required]
+        for head, members in layout.items()
+    }
+    heads = list(layout)[1:]
+    top = [head for head in heads if needed[head]] + needed[""]
+    objects = {"": _block(data, path, top, [*heads, *layout[""]])}
+    for head in heads:
+        where = f"{path}.{head}" if path else head
+        objects[head] = _block(data.get(head, {}), where, needed[head], layout[head])
+    hints = _type_hints(cls)
+    return {
+        f.name: _cast(hints[f.name], objects[head][key])
+        for head, members in layout.items() for key, f in members.items() if key in objects[head]
+    }
+
+
+def _synthetic_from_dict(data) -> SyntheticMarketConfig:
+    kwargs = _read(SyntheticMarketConfig, data, "data.synthetic")
     if any(not isinstance(r, list) or len(r) != 4 for r in data["regimes"]):
         raise ValueError("data.synthetic.regimes rows must be "
                          "[start, stop, factor_loading_scale, idiosyncratic_vol]")
     regimes = tuple(RegimeSpec(int(a), int(b), float(c), float(d)) for a, b, c, d in data["regimes"])
-    return SyntheticMarketConfig(
-        n_assets=int(data["n_assets"]),
-        n_sessions=int(data["n_sessions"]),
-        n_factors=int(data["n_factors"]),
-        regime_schedule=regimes,
-        nonlinearity=float(data.get("nonlinearity", 0.0)),
-        seed=int(data.get("seed", 0)),
-        base_vol=float(data.get("base_vol", 1e-4)),
-        intraday_amplitude=float(data.get("intraday_amplitude", 0.0)),
-        start_date=date.fromisoformat(data.get("start_date", "2012-01-02")),
-        market_composite=bool(data.get("market_composite", False)),
-        comovement=comovement,
-    )
+    kwargs["regime_schedule"] = regimes
+    if "comovement" in data:
+        path = "data.synthetic.comovement"
+        kwargs["comovement"] = CoMovementSpec(**_read(CoMovementSpec, data["comovement"], path))
+    return SyntheticMarketConfig(**kwargs)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "data": {"source": cfg.data_source},
-        "splits": {
-            "train": list(cfg.splits.train),
-            "validation": list(cfg.splits.validation),
-            "test": list(cfg.splits.test),
-        },
-        "models": cfg.models,
-        "frequencies": list(cfg.frequencies),
-        "horizons": list(cfg.horizons),
-        "families": {
-            "regression": list(cfg.regression_families),
-            "classification": list(cfg.classification_families),
-        },
-        "crash": {"half_life": cfg.crash_half_life, "threshold": cfg.crash_threshold},
-        "search": {
-            "ae_iterations": cfg.ae_search_iterations,
-            "forecast_iterations": cfg.forecast_search_iterations,
-            "cv_folds": cfg.cv_folds,
-        },
-        "smooth_half_life_days": cfg.smooth_half_life_days,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.analyze_source is not None:
-        out["analyze_source"] = cfg.analyze_source
-    if cfg.data_source == "synthetic":
-        out["data"]["synthetic"] = _synthetic_to_dict(cfg.synthetic)
-    else:
-        out["data"]["csv_path"] = cfg.csv_path
-        out["data"]["dates"] = list(cfg.csv_dates)
-        if cfg.csv_half_days:
-            out["data"]["half_days"] = list(cfg.csv_half_days)
+    out = {"schema_version": SCHEMA_VERSION}
+    for path, value in _to_json(cfg).items():
+        head, _, key = path.rpartition(".")
+        (out.setdefault(head, {}) if head else out)[key] = value
     return out
 
 
@@ -236,50 +243,20 @@ def config_from_dict(data: dict) -> RunConfig:
     """Parse a config object; a malformed shape, missing field or unknown key is a ValueError."""
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    version = data.get("schema_version")
+    data = dict(data)
+    version = data.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    _block(data, "", ("data", "splits"), (
-        "schema_version", "models", "frequencies", "horizons", "families", "crash", "search",
-        "smooth_half_life_days", "analyze_source", "seed", "output_dir",
-    ))
-    synthetic = isinstance(data["data"], dict) and data["data"].get("source") == "synthetic"
-    block = _block(data["data"], "data", ("source", "synthetic") if synthetic else ("source",),
-                   () if synthetic else ("csv_path", "dates", "half_days"))
-    splits = _block(data["splits"], "splits", ("train", "validation", "test"))
-    families = _block(data.get("families", {}), "families", (), ("regression", "classification"))
-    crash = _block(data.get("crash", {}), "crash", (), ("half_life", "threshold"))
-    search = _block(data.get("search", {}), "search", (),
-                    ("ae_iterations", "forecast_iterations", "cv_folds"))
+    synthetic = isinstance(data.get("data"), dict) and data["data"].get("source") == "synthetic"
+    other = "csv" if synthetic else "synthetic"  # a source's own fields are named after it
     try:
-        return RunConfig(
-            data_source=block["source"],
-            splits=SplitSpec(
-                train=tuple(splits["train"]),
-                validation=tuple(splits["validation"]),
-                test=tuple(splits["test"]),
-            ),
-            synthetic=_synthetic_from_dict(block["synthetic"]) if synthetic else None,
-            csv_path=block.get("csv_path"),
-            csv_dates=tuple(block.get("dates", ())),
-            csv_half_days=tuple(block.get("half_days", ())),
-            models=data.get("models", "both"),
-            frequencies=tuple(data.get("frequencies", DEFAULT_FREQUENCIES)),
-            horizons=tuple(data.get("horizons", data.get("frequencies", DEFAULT_FREQUENCIES))),
-            regression_families=tuple(families.get("regression", DEFAULT_REGRESSION_FAMILIES)),
-            classification_families=tuple(
-                families.get("classification", DEFAULT_CLASSIFICATION_FAMILIES)
-            ),
-            crash_half_life=float(crash.get("half_life", 10.0)),
-            crash_threshold=float(crash.get("threshold", -1.5)),
-            ae_search_iterations=int(search.get("ae_iterations", 20)),
-            forecast_search_iterations=int(search.get("forecast_iterations", 200)),
-            cv_folds=int(search.get("cv_folds", 3)),
-            smooth_half_life_days=float(data.get("smooth_half_life_days", 1.0)),
-            analyze_source=data.get("analyze_source"),
-            seed=int(data.get("seed", 0)),
-            output_dir=str(data.get("output_dir", "run")),
-        )
+        kwargs = _read(RunConfig, data, "",
+                       skip=[f.name for f in fields(RunConfig) if f.name.startswith(other)],
+                       required=["synthetic"] if synthetic else [])
+        kwargs["splits"] = SplitSpec(**_read(SplitSpec, kwargs["splits"], "splits"))
+        if synthetic:
+            kwargs["synthetic"] = _synthetic_from_dict(kwargs["synthetic"])
+        return RunConfig(**kwargs)
     except TypeError as exc:  # a field of the wrong JSON type, e.g. a number for a list
         raise ValueError(f"malformed config: {exc}") from exc
 

@@ -48,7 +48,14 @@ from .returns_metrics import (
     window_sums,
     winsorize,
 )
-from .serialization import load_autoencoder, load_pca, save_autoencoder, save_pca, write_json
+from .serialization import (
+    load_autoencoder,
+    load_pca,
+    save_autoencoder,
+    save_pca,
+    write_csv,
+    write_json,
+)
 from .stats import auroc, kde2d, paired_bootstrap, r_squared, spearman
 
 ANALYZE_METRICS = ("returns", "log_rv", "drawdown")
@@ -301,32 +308,28 @@ def reconstruction_for(source: str, out_dir, returns: ReturnsPanel):
 
 
 def _write_arr_segments_csv(series: ArrSeries, segments, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp,arr,segment\n")
-        for t, v, s in zip(series.timestamps.tolist(), series.values.tolist(), segments):
-            fh.write(f"{t},{v!r},{s}\n")
+    rows = zip(series.timestamps.tolist(), series.values.tolist(), segments)
+    write_csv(path, ("timestamp", "arr", "segment"), rows)
 
 
-def read_arr_csv(path, interval: int, source: str) -> tuple[ArrSeries, np.ndarray]:
-    """Inverse of the arr-stage CSV writer; returns the series and its segment flags."""
-    stamps, values, segments = [], [], []
+def read_arr_csv(path, interval: int, source: str) -> ArrSeries:
+    """Inverse of the arr-stage CSV writer: the series, without its segment flags."""
+    stamps, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["timestamp", "arr"]:
             raise ValueError(f"not a ratio series file: {path}")
         for line in fh:
-            parts = line.rstrip("\n").split(",")
+            parts = line.split(",", 2)
             stamps.append(int(parts[0]))
             values.append(float(parts[1]))
-            segments.append(parts[2] if len(parts) > 2 else "")
-    series = ArrSeries(
+    return ArrSeries(
         timestamps=np.array(stamps, dtype=np.int64),
         values=np.array(values, dtype=np.float64),
         interval=interval,
         source=source,
         rolling=interval == ONE_WEEK,
     )
-    return series, np.array(segments)
 
 
 def arr_file_name(source: str, interval: int, smoothed: bool = False) -> str:
@@ -408,14 +411,6 @@ def _metric_series(ticks: TickPanel, base: ReturnsPanel, metric: str, freq: int)
     return series.timestamps, series.values
 
 
-def _write_kde_csv(grid, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,density\n")
-        for i, xv in enumerate(grid.x_grid.tolist()):
-            for j, yv in enumerate(grid.y_grid.tolist()):
-                fh.write(f"{xv!r},{yv!r},{grid.density[i, j].item()!r}\n")
-
-
 def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
     """Joint KDE grids and rank correlations of the reconstruction ratio against market
     returns, log realized variance, and drawdown, at every configured frequency."""
@@ -431,7 +426,7 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
         arr_path = os.path.join(arr_dir, arr_file_name(source, freq))
         if not os.path.exists(arr_path):
             raise StageError("cmd_arr outputs missing", details={"missing": [arr_path]})
-        arr_series, _ = read_arr_csv(arr_path, freq, source)
+        arr_series = read_arr_csv(arr_path, freq, source)
         for metric in ANALYZE_METRICS:
             ts_m, vals_m = _metric_series(ticks, base, metric, freq)
             stamps, metric_vals, arr_vals = align_series(
@@ -462,20 +457,20 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
                     cell.update(status="skipped", reason=str(exc))
                 else:
                     name = f"kde_{metric}_{FREQ_NAMES[freq]}.csv"
-                    _write_kde_csv(grid, os.path.join(directory, name))
+                    y_grid = grid.y_grid.tolist()
+                    rows = (
+                        (x, y, d)
+                        for x, densities in zip(grid.x_grid.tolist(), grid.density.tolist())
+                        for y, d in zip(y_grid, densities)
+                    )
+                    write_csv(os.path.join(directory, name), ("x", "y", "density"), rows)
                     outputs.append(name)
                     cell["kde_file"] = name
             cells.append(cell)
 
-    corr_path = os.path.join(directory, "correlations.csv")
-    with open(corr_path, "w", encoding="utf-8") as fh:
-        fh.write("metric,frequency,n,spearman,kde_file,status,reason\n")
-        for c in cells:
-            sp = "" if c["spearman"] is None else repr(c["spearman"])
-            fh.write(
-                f"{c['metric']},{c['frequency']},{c['n']},{sp},"
-                f"{c['kde_file'] or ''},{c['status']},{c['reason'] or ''}\n"
-            )
+    columns = ("metric", "frequency", "n", "spearman", "kde_file", "status", "reason")
+    rows = ([c[col] for col in columns] for c in cells)
+    write_csv(os.path.join(directory, "correlations.csv"), columns, rows)
     outputs.append("correlations.csv")
 
     return write_manifest(
@@ -567,7 +562,7 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
         path = os.path.join(arr_dir, arr_file_name(source, freq))
         if not os.path.exists(path):
             raise StageError("cmd_arr outputs missing", details={"missing": [path]})
-        arr[freq], _ = read_arr_csv(path, freq, source)
+        arr[freq] = read_arr_csv(path, freq, source)
 
     test_lo, test_hi = cfg.splits.test
     tasks, cells = [], []
@@ -625,17 +620,6 @@ _RESULT_COLUMNS = (
 )
 
 
-def _write_results_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_RESULT_COLUMNS) + "\n")
-        for row in rows:
-            parts = []
-            for col in _RESULT_COLUMNS:
-                v = row.get(col)
-                parts.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            fh.write(",".join(parts) + "\n")
-
-
 def _row_order(row: dict) -> tuple:
     order = {name: i for i, name in enumerate(FREQ_NAMES.values())}
     return (order[row["horizon"]], row["task"], row["family"])
@@ -659,7 +643,8 @@ def cmd_forecast(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
         )
 
     directory = stage_dir(out_dir, "forecast")
-    _write_results_csv(rows, os.path.join(directory, "results.csv"))
+    cells = ([row.get(col) for col in _RESULT_COLUMNS] for row in rows)
+    write_csv(os.path.join(directory, "results.csv"), _RESULT_COLUMNS, cells)
     write_json({"cells": rows}, os.path.join(directory, "results.json"))
     return write_manifest(
         directory,

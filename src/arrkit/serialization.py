@@ -1,4 +1,4 @@
-"""Versioned JSON persistence for trained models, and the one JSON file writer.
+"""Versioned JSON persistence for trained models, and the one JSON and CSV file writers.
 
 Arrays are stored as nested lists; Python's repr-based float serialization makes the
 round trip bit-exact. Every file carries a format_version and a kind tag so loaders can
@@ -24,6 +24,15 @@ def write_json(payload, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Comma-joined rows under a header line: a cell is empty for None and str() of
+    anything else, which for a float is its shortest repr, exact on reading back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(["" if v is None else str(v) for v in row]) + "\n")
 
 
 def save_autoencoder(model: AutoencoderModel, path, metadata: dict | None = None) -> None:

@@ -1,6 +1,10 @@
 """Run configuration: round trips, validation, and the settings hash."""
 
 import dataclasses
+import datetime as dt
+import json
+import os
+import re
 
 import pytest
 
@@ -79,6 +83,24 @@ def test_frequency_and_horizon_rules():
         _config(frequencies=(300, 3600), horizons=(300, 23400))
     cfg = _config(frequencies=(300, 3600), horizons=(300,))
     assert cfg.horizons == (300,)
+
+
+def test_omitted_horizons_are_the_frequencies():
+    cfg = _config(frequencies=(300, 3600))
+    assert cfg.horizons == (300, 3600)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    payload = config_to_dict(cfg)
+    del payload["horizons"]
+    assert config_from_dict(payload) == cfg
+
+
+def test_cross_source_fields_are_refused():
+    for csv_field in (dict(csv_path="x.csv"), dict(csv_dates=("2012-01-03",)),
+                      dict(csv_half_days=("2012-01-03",))):
+        with pytest.raises(ValueError, match="synthetic source takes no csv_path"):
+            _config(**csv_field)
+    with pytest.raises(ValueError, match="csv source takes no synthetic block"):
+        _config(data_source="csv", csv_path="ticks.csv", csv_dates=("2012-01-03",) * 16)
 
 
 def test_family_rules():
@@ -211,6 +233,91 @@ def test_unknown_keys_are_refused_at_every_level(source):
         name = f"{path}.horizon" if path else "horizon"
         with pytest.raises(ValueError, match=f"unknown config field: {name}$"):
             config_from_dict(payload)
+
+
+# One valid non-default value for every field of the config and of its synthetic and
+# co-movement blocks: each must survive the JSON round trip and move the hash.
+_CSV = dict(data_source="csv", synthetic=None, csv_path="ticks.csv",
+            csv_dates=tuple(f"2012-01-{d:02d}" for d in range(3, 19)))
+FIELD_VALUES = {
+    RunConfig: {
+        "data_source": _CSV,
+        "splits": {"splits": SplitSpec((0, 7), (8, 12), (12, 16))},
+        "synthetic": {"synthetic": _synth(n_sessions=17)},
+        "csv_path": {**_CSV, "csv_path": "other.csv"},
+        "csv_dates": {**_CSV, "csv_dates": _CSV["csv_dates"][1:]},
+        "csv_half_days": {**_CSV, "csv_half_days": ("2012-01-05",)},
+        "models": {"models": "pca"},
+        "frequencies": {"frequencies": (300, 3600, 23400)},
+        "horizons": {"horizons": (300,)},
+        "regression_families": {"regression_families": ("ridge",)},
+        "classification_families": {"classification_families": ("gbdt",)},
+        "crash_half_life": {"crash_half_life": 12.0},
+        "crash_threshold": {"crash_threshold": -2.0},
+        "ae_search_iterations": {"ae_search_iterations": 5},
+        "forecast_search_iterations": {"forecast_search_iterations": 50},
+        "cv_folds": {"cv_folds": 4},
+        "smooth_half_life_days": {"smooth_half_life_days": 2.5},
+        "analyze_source": {"analyze_source": "pca"},
+        "seed": {"seed": 11},
+        "output_dir": {"output_dir": "elsewhere"},
+    },
+    SyntheticMarketConfig: {
+        "n_assets": {"n_assets": 7},
+        "n_sessions": {"n_sessions": 17, "regime_schedule": (RegimeSpec(0, 17, 1.0, 0.5),)},
+        "n_factors": {"n_factors": 3},
+        "regime_schedule": {"regime_schedule": (RegimeSpec(0, 16, 2.0, 0.5),)},
+        "nonlinearity": {"nonlinearity": 0.5},
+        "seed": {"seed": 3},
+        "base_vol": {"base_vol": 2e-4},
+        "intraday_amplitude": {"intraday_amplitude": 0.3},
+        "start_date": {"start_date": dt.date(2013, 1, 2)},
+        "market_composite": {"market_composite": True},
+        "comovement": {"comovement": CoMovementSpec()},
+    },
+    CoMovementSpec: {
+        "window_seconds": {"window_seconds": 600},
+        "half_life_windows": {"half_life_windows": 3.0},
+        "mean_share": {"mean_share": 0.4},
+        "share_innovation": {"share_innovation": 0.2},
+        "vol_feedback": {"vol_feedback": 0.5},
+    },
+}
+
+
+def _with_field_set(cls, name):
+    """(base config, the same config with one field of `cls` set to its table value)."""
+    changes = FIELD_VALUES[cls][name]
+    if cls is RunConfig:
+        return _config(), _config(**changes)
+    if cls is SyntheticMarketConfig:
+        base = _synth()
+        return _config(synthetic=base), _config(synthetic=dataclasses.replace(base, **changes))
+    base = _synth(comovement=True)
+    changed = dataclasses.replace(base, comovement=dataclasses.replace(base.comovement, **changes))
+    return _config(synthetic=base), _config(synthetic=changed)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in FIELD_VALUES for f in dataclasses.fields(cls)
+], ids=lambda v: v.__name__ if isinstance(v, type) else v)
+def test_every_field_round_trips_and_moves_the_hash(cls, name):
+    base, cfg = _with_field_set(cls, name)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    if name == "output_dir":
+        assert config_hash(cfg) == config_hash(base)
+    else:
+        assert config_hash(cfg) != config_hash(base)
+
+
+def test_readme_config_example_parses():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        example = re.search(r"```jsonc\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = config_from_dict(json.loads(re.sub(r"//[^\n]*", "", example)))
+    assert cfg.synthetic.comovement.vol_feedback == 0.5
+    assert cfg.horizons == (300, 3600) and cfg.analyze_source is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,13 @@ import pytest
 from arrkit.autoencoder import AeTrainConfig, reconstruct_series, train_autoencoder
 from arrkit.pca import fit_pca, pca_reconstruct
 from arrkit.returns_metrics import ReturnsPanel
-from arrkit.serialization import load_autoencoder, load_pca, save_autoencoder, save_pca
+from arrkit.serialization import (
+    load_autoencoder,
+    load_pca,
+    save_autoencoder,
+    save_pca,
+    write_csv,
+)
 
 
 def _panels(seed=0, n=400):
@@ -98,3 +104,11 @@ def test_files_are_deterministic_json(tmp_path):
     save_pca(model, p2, metadata={"a": 2, "z": 1})
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().endswith("\n")
+
+
+def test_csv_cells_are_empty_or_str(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c"), [(None, 0.1, 3), ("x", np.float64(1 / 3), True), ()])
+    text = path.read_text(encoding="utf-8")
+    assert text == "a,b,c\n,0.1,3\nx,0.3333333333333333,True\n\n"
+    assert float(text.split("\n")[2].split(",")[1]) == 1 / 3
