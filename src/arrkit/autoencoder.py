@@ -10,6 +10,7 @@ reconstruction error. Hyperparameters come from random search over a fixed grid.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,6 +90,23 @@ class AutoencoderModel:
         return np.hstack([self.normalize(r), tod[:, None]])
 
 
+def _normalization(train: ReturnsPanel, val: ReturnsPanel) -> tuple[np.ndarray, np.ndarray]:
+    """The per-asset training mean and std, once the panels pass the checks of training."""
+    if train.interval != 1 or val.interval != 1:
+        raise ValueError("training expects 1-second returns")
+    if train.returns.shape[0] == 0:
+        raise ValueError("empty training set")
+    if train.n_assets < 5:
+        raise ValueError("need at least 5 assets")
+    if train.asset_ids != val.asset_ids:
+        raise ValueError("train/val asset universes differ")
+    std = train.returns.std(axis=0)
+    dead = np.flatnonzero(std == 0.0)
+    if dead.size:
+        raise ValueError(f"asset {train.asset_ids[dead[0]]!r} has constant training returns")
+    return train.returns.mean(axis=0), std
+
+
 def train_autoencoder(
     train: ReturnsPanel,
     val: ReturnsPanel,
@@ -101,22 +119,8 @@ def train_autoencoder(
     validation reconstruction MSE used for early stopping; the returned parameters come
     from the best validation epoch.
     """
-    if train.interval != 1 or val.interval != 1:
-        raise ValueError("training expects 1-second returns")
-    if train.returns.shape[0] == 0:
-        raise ValueError("empty training set")
-    if train.n_assets < 5:
-        raise ValueError("need at least 5 assets")
-    if train.asset_ids != val.asset_ids:
-        raise ValueError("train/val asset universes differ")
+    mean, std = _normalization(train, val)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    mean = train.returns.mean(axis=0)
-    std = train.returns.std(axis=0)
-    dead = np.flatnonzero(std == 0.0)
-    if dead.size:
-        raise ValueError(f"asset {train.asset_ids[dead[0]]!r} has constant training returns")
-
     net = build_ae_net(train.n_assets)
     model = AutoencoderModel(net, init_params(net, rng), mean, std, train.asset_ids)
     x_tr, x_val = (model.features(p.returns, p.timestamps) for p in (train, val))
@@ -185,6 +189,50 @@ class AeSearchResult:
     trials: tuple[AeTrial, ...]
 
 
+_panels: tuple = ()  # (train, val) of the search a worker process serves
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _serve(*panels: ReturnsPanel) -> None:
+    """Pool initializer: hand a worker the search's (train, val) once, not with every arm."""
+    global _panels
+    _panels = panels
+    _one_blas_thread()
+
+
+def _one_blas_thread() -> None:
+    """Cap the OpenBLAS of this process at one thread, where /proc (Linux) lists it. The
+    arms already fill the CPUs; a BLAS thread per CPU in every worker spins against the
+    other workers' arms (gate 1's search then ran over twice as long as in one process)."""
+    if os.path.exists("/proc/self/maps"):
+        import ctypes
+
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line}
+        for lib in map(ctypes.CDLL, libs):
+            for name in _OPENBLAS_SET_THREADS:
+                if hasattr(lib, name):
+                    getattr(lib, name)(1)
+
+
+def _train_arm(job, panels: tuple = ()):
+    """One arm from (config, seed, arm) as (model, history, error); divergence is an error."""
+    config, seed, arm = job
+    train, val = panels or _panels
+    arm_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm,)))
+    try:
+        model, history = train_autoencoder(train, val, config, seed=arm_rng)
+    except TrainingDiverged as exc:
+        return None, [], str(exc)
+    return model, history, None
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def random_search_ae(
     train: ReturnsPanel,
     val: ReturnsPanel,
@@ -198,29 +246,37 @@ def random_search_ae(
     Every iteration produces a trial record; diverged trainings are recorded with their
     error and excluded from the argmin. A trial's val_loss is the reconstruction MSE of
     its best epoch (the parameters actually returned for that trial).
+
+    The arms train on min(iterations, usable CPUs) processes. Each arm has its own seed
+    and reads no other arm's result, so the outcome does not depend on that number.
     """
     grid = DEFAULT_AE_GRID if grid is None else grid
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    _normalization(train, val)  # bad panels fail here, before any process starts
     keys = sorted(grid)
     config_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    trials: list[AeTrial] = []
-    best: tuple[float, AutoencoderModel, AeTrainConfig] | None = None
+    jobs = []  # every config drawn up front: training never touches config_rng
     for arm in range(iterations):
         choice = {k: grid[k][int(config_rng.integers(len(grid[k])))] for k in keys}
-        config = AeTrainConfig(max_epochs=max_epochs, **choice)
-        arm_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm,)))
-        try:
-            model, history = train_autoencoder(train, val, config, seed=arm_rng)
-        except TrainingDiverged as exc:
-            trials.append(AeTrial(arm=arm, config=config, error=str(exc)))
-            continue
-        val_loss = min(h["val_fit"] for h in history)
-        trials.append(AeTrial(arm=arm, config=config, history=tuple(history), val_loss=val_loss))
-        if best is None or val_loss < best[0]:
+        jobs.append((AeTrainConfig(max_epochs=max_epochs, **choice), seed, arm))
+    workers = min(iterations, _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
+        with ProcessPoolExecutor(workers, initializer=_serve, initargs=(train, val)) as pool:
+            results = list(pool.map(_train_arm, jobs))
+    else:
+        results = [_train_arm(job, (train, val)) for job in jobs]
+    trials: list[AeTrial] = []
+    best: tuple[float, AutoencoderModel, AeTrainConfig] | None = None
+    for (config, _, arm), (model, history, error) in zip(jobs, results):
+        val_loss = None if error else min(h["val_fit"] for h in history)
+        trials.append(AeTrial(arm, config, tuple(history), val_loss, error))
+        if val_loss is not None and (best is None or val_loss < best[0]):
             best = (val_loss, model, config)
     if best is None:
         raise RuntimeError("every search trial failed")
-    return AeSearchResult(
-        best_config=best[2], best_val_loss=best[0], best_model=best[1], trials=tuple(trials)
+    return AeSearchResult(  # replace re-freezes the normalization a worker's pickle thawed
+        best_config=best[2], best_val_loss=best[0], best_model=replace(best[1]), trials=tuple(trials)
     )

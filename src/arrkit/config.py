@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import date
 from typing import get_type_hints
 
@@ -152,19 +152,22 @@ _CASTS = {int: int, float: float, bool: bool, str: str, date: date.fromisoformat
 _type_hints = functools.cache(get_type_hints)  # field types of a dataclass, evaluated once
 
 
-def _to_json(value):
+def _to_json(value, kind=None):
     """A config value as JSON: a dataclass becomes an object without its fields left at an
-    empty default (None or ()), a regime a 4-item row, a tuple a list, a date ISO text."""
-    if isinstance(value, RegimeSpec):
-        value = astuple(value)
+    empty default (None or ()), a regime a 4-item row, a tuple a list, a date ISO text, and
+    an int held by a field of type `kind` float a float, as the parser reads it back."""
     if is_dataclass(value):
-        return {
-            _PATHS.get(f.name, f.name): _to_json(v)
+        hints = _type_hints(type(value))
+        items = {
+            _PATHS.get(f.name, f.name): _to_json(v, hints[f.name])
             for f in fields(value)
             if not ((v := getattr(value, f.name)) in (None, ()) and v == f.default)
         }
+        return list(items.values()) if isinstance(value, RegimeSpec) else items
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
+    if kind is float and isinstance(value, int):
+        return float(value)
     return value.isoformat() if isinstance(value, date) else value
 
 

@@ -116,24 +116,27 @@ def init_params(net: DenseNet, rng: np.random.Generator) -> Params:
     return params
 
 
-def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Inverted dropout mask: 0 with probability rate, else 1/(1-rate)."""
+def dropout_mask(rng: np.random.Generator, rate: float, out: np.ndarray) -> np.ndarray:
+    """Fills the C-contiguous out with the inverted dropout mask (u >= rate) / (1 - rate),
+    bit for bit, where u = rng.random(out.shape) takes the same draws; returns out."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if rate == 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    rng.random(out=out)
+    np.greater_equal(out, rate, out=out)
+    out /= 1.0 - rate
+    return out
 
 
 class Workspace:
     """Feature-major (width, rows) buffers for passes over `rows` rows: per layer z and the
-    activation (z itself for identity); for training also the gathered batch, the masked
-    input and per layer the delta."""
+    activation (z itself for identity); for training also the gathered batch, the
+    row-major (rows, width) dropout mask, the masked input and per layer the delta."""
 
     def __init__(self, net: DenseNet, rows: int, train: bool = True):
         self.z = [np.empty((width, rows)) for width in net.dims[1:]]
         self.a = [z if act == "identity" else np.empty_like(z) for z, act in zip(self.z, net.activations)]
         self.batch, self.masked = np.empty((2, net.dims[0], rows)) if train else (None, None)
+        self.mask = np.empty((rows, net.dims[0])) if train else None
         self.d = [np.empty_like(z) for z in self.z] if train else None
 
 
@@ -343,7 +346,7 @@ def train_dense_net(
             np.copyto(work.batch, x_rows.take(idx, axis=0).T)
             xb = work.batch.T
             yb = xb[:, :d_out] if y_rows is None else y_rows.take(idx, axis=0)
-            mask = dropout_mask(rng, xb.shape, cfg.dropout_rate) if cfg.dropout_rate > 0 else None
+            mask = dropout_mask(rng, cfg.dropout_rate, work.mask) if cfg.dropout_rate else None
             loss, _, _ = loss_and_grads(net, live, xb, yb, spec, mask, grads, work)
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, step)

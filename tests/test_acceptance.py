@@ -147,7 +147,7 @@ def test_03_gradients_match_finite_differences(verdict):
         x = rng.standard_normal((6, n_assets + 1))
         y = rng.standard_normal((6, n_assets))
         spec = LossSpec("mse", l1_weight=1e-3, l1_layer=1)
-        mask = dropout_mask(rng, x.shape, 0.3) if i % 4 >= 2 else None
+        mask = dropout_mask(rng, 0.3, np.empty(x.shape)) if i % 4 >= 2 else None
         worst = max(worst, gradient_check(net, params, x, y, spec, input_mask=mask))
     elapsed = time.monotonic() - t0
 

@@ -1,5 +1,7 @@
 """Autoencoder architecture, normalization, training, and hyperparameter search."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,24 +228,84 @@ def test_search_is_deterministic_by_seed():
     assert a.best_val_loss == b.best_val_loss
 
 
+VIOLENT_GRID = {
+    "dropout_rate": (0.0,),
+    "l1_weight": (0.0,),
+    "batch_size": (300,),
+    "learning_rate": (1e80,),
+    "clip_norm": (1e80,),
+}
+MIXED_GRID = dict(VIOLENT_GRID, learning_rate=(1e-3, 1e80))  # some arms diverge, some train
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_search_records_diverged_trials_and_rejects_all_failed():
     tr, va = _toy_panels(seed=13, n_train=300, n_val=100)
-    violent = {
-        "dropout_rate": (0.0,),
-        "l1_weight": (0.0,),
-        "batch_size": (300,),
-        "learning_rate": (1e80,),
-        "clip_norm": (1e80,),
-    }
     with pytest.raises(RuntimeError, match="every search trial failed"):
-        random_search_ae(tr, va, grid=violent, iterations=2, seed=0, max_epochs=3)
+        random_search_ae(tr, va, grid=VIOLENT_GRID, iterations=2, seed=0, max_epochs=3)
     # mixed grid: sane arms still win while the divergent ones are recorded with errors
-    mixed = dict(violent, learning_rate=(1e-3, 1e80))
-    result = random_search_ae(tr, va, grid=mixed, iterations=6, seed=1, max_epochs=2)
+    result = random_search_ae(tr, va, grid=MIXED_GRID, iterations=6, seed=1, max_epochs=2)
     errors = [t for t in result.trials if t.error is not None]
     scored = [t for t in result.trials if t.val_loss is not None]
     assert len(errors) + len(scored) == 6
     assert errors and scored
     assert all("diverged" in t.error for t in errors)
     assert result.best_config.learning_rate == 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_search_does_not_depend_on_the_worker_count(monkeypatch):
+    """Arms trained in-process, on two and on three worker processes give the same
+    trials, the same choice and the same bytes of the chosen model."""
+    from arrkit import autoencoder
+    from arrkit.nn import flatten
+
+    tr, va = _toy_panels(seed=13, n_train=300, n_val=100)
+    grid = dict(MIXED_GRID, dropout_rate=(0.0, 0.2), l1_weight=(0.0, 0.1))
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda w=workers: w)
+        runs[workers] = random_search_ae(tr, va, grid=grid, iterations=5, seed=1, max_epochs=3)
+    one = runs[1]
+    assert any(t.error for t in one.trials) and any(t.error is None for t in one.trials)
+    assert not one.best_model.mean.flags.writeable
+    for workers in (2, 3):
+        other = runs[workers]
+        assert [(t.arm, t.config, t.history, t.val_loss, t.error) for t in other.trials] == [
+            (t.arm, t.config, t.history, t.val_loss, t.error) for t in one.trials
+        ]
+        assert (other.best_config, other.best_val_loss) == (one.best_config, one.best_val_loss)
+        assert flatten(other.best_model.params).tobytes() == flatten(one.best_model.params).tobytes()
+        assert not other.best_model.mean.flags.writeable
+
+    few, few_val = (
+        ReturnsPanel(p.timestamps, p.returns[:, :4], p.asset_ids[:4], 1, p.session_index)
+        for p in (tr, va)
+    )
+    with pytest.raises(ValueError, match="need at least 5 assets"):
+        random_search_ae(few, few_val, iterations=5)
+
+
+def _openblas_threads():
+    """The thread count of each OpenBLAS this process has loaded, where it can be read."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line}
+    getters = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+               "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+    return [getattr(lib, name)() for lib in map(ctypes.CDLL, libs) for name in getters
+            if hasattr(lib, name)]
+
+
+def test_search_workers_run_one_blas_thread():
+    """A search worker caps its OpenBLAS at one thread, so that the workers' BLAS threads
+    do not spin against the arms of the other workers."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from arrkit import autoencoder
+
+    if not os.path.exists("/proc/self/maps") or not _openblas_threads():
+        pytest.skip("no readable OpenBLAS thread count in this process")
+    with ProcessPoolExecutor(1, initializer=autoencoder._serve, initargs=((), ())) as pool:
+        assert pool.submit(_openblas_threads).result() == [1] * len(_openblas_threads())

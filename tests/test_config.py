@@ -334,6 +334,20 @@ def test_hash_ignores_output_dir_but_nothing_else():
     assert len(config_hash(a)) == 64
 
 
+def test_int_in_a_float_field_hashes_as_its_json_round_trip():
+    """A float field built from an int is written as a float, as the parser reads it."""
+    synth = dataclasses.replace(
+        _synth(), regime_schedule=(RegimeSpec(0, 16, 1, 0.5),),
+        comovement=CoMovementSpec(share_innovation=0.6, half_life_windows=6),
+    )
+    cfg = _config(crash_half_life=10, synthetic=synth)
+    loaded = config_from_dict(config_to_dict(cfg))
+    assert loaded == cfg
+    assert config_hash(cfg) == config_hash(loaded)
+    assert isinstance(config_to_dict(cfg)["crash"]["half_life"], float)
+    assert config_hash(cfg) == config_hash(_config(crash_half_life=10.0, synthetic=synth))
+
+
 def test_hash_is_stable_across_processes_inputs():
     # same logical config built twice hashes identically
     assert config_hash(_config()) == config_hash(_config())

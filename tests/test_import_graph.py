@@ -1,7 +1,8 @@
 """Every arrkit process starts on numpy and the standard library alone.
 
 scipy serves the tests as an oracle; loading `scipy.stats` costs about half a second
-and 60 MB at each start of a CLI verb, so the package must not import it.
+and 60 MB at each start of a CLI verb, so the package must not import it. The process
+pool of the autoencoder search is imported only when a search starts one.
 """
 
 import os
@@ -22,6 +23,21 @@ def test_importing_arrkit_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]", f"arrkit imports scipy: {out.stdout.strip()}"
+
+
+def test_importing_arrkit_starts_no_process_pool_machinery():
+    """The autoencoder search loads its process pool when it runs one, so a process that
+    imports arrkit without the pipeline pays no import of it at start-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import arrkit\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]", f"arrkit imports: {out.stdout.strip()}"
 
 
 def test_no_package_module_imports_scipy():

@@ -102,7 +102,7 @@ def test_init_params_deterministic_by_seed():
 
 def test_dropout_mask_is_inverted_and_unbiased():
     rng = np.random.default_rng(3)
-    mask = dropout_mask(rng, (200, 50), 0.4)
+    mask = dropout_mask(rng, 0.4, np.empty((200, 50)))
     keep = 1.0 / 0.6
     assert set(np.unique(mask)) <= {0.0, keep}
     # inverted scaling keeps the expected value of the masked input at 1
@@ -111,11 +111,30 @@ def test_dropout_mask_is_inverted_and_unbiased():
 
 
 def test_dropout_mask_rate_zero_and_validation():
-    np.testing.assert_array_equal(dropout_mask(np.random.default_rng(0), (3, 4), 0.0), np.ones((3, 4)))
+    mask = dropout_mask(np.random.default_rng(0), 0.0, np.empty((3, 4)))
+    np.testing.assert_array_equal(mask, np.ones((3, 4)))
     with pytest.raises(ValueError, match="dropout rate"):
-        dropout_mask(np.random.default_rng(0), (2,), 1.0)
+        dropout_mask(np.random.default_rng(0), 1.0, np.empty(2))
     with pytest.raises(ValueError, match="dropout rate"):
-        dropout_mask(np.random.default_rng(0), (2,), -0.1)
+        dropout_mask(np.random.default_rng(0), -0.1, np.empty(2))
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.8])
+def test_workspace_mask_gives_the_allocating_formulas_masked_input(rate):
+    """The mask drawn into a workspace takes the draws of rng.random(shape), and the
+    masked input equals x * ((u >= rate) / (1 - rate)) bit for bit, signed zeros too."""
+    net = DenseNet((6, 4, 5), ("elu", "identity"))
+    rng = np.random.default_rng(5)
+    params = init_params(net, rng)
+    x = rng.normal(size=(37, 6))
+    work = Workspace(net, 37)
+    mask = dropout_mask(np.random.default_rng(11), rate, work.mask)
+    assert mask is work.mask
+    u = np.random.default_rng(11).random(x.shape)
+    expected = x * ((u >= rate) / (1 - rate))
+    loss_and_grads(net, params, x, x[:, :5], LossSpec("mse"), mask, work=work)
+    assert work.masked.T.tobytes() == expected.tobytes()
+    assert np.signbit(expected[expected == 0.0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +232,7 @@ def _check(net, spec, n=6, seed=0, mask_rate=0.0):
         y = (rng.random((n, net.dims[-1])) < 0.5).astype(float)
     else:
         y = rng.normal(size=(n, net.dims[-1]))
-    mask = dropout_mask(rng, x.shape, mask_rate) if mask_rate else None
+    mask = dropout_mask(rng, mask_rate, np.empty(x.shape)) if mask_rate else None
     return gradient_check(net, params, x, y, spec, input_mask=mask)
 
 
@@ -371,7 +390,7 @@ def test_feature_major_step_matches_the_batch_major_oracle(case):
         np.copyto(work.batch, x.take(idx, axis=0).T)
         xb = work.batch.T
         yb = xb[:, : net.dims[-1]] if targets_in_input else y.take(idx, axis=0)
-        mask = dropout_mask(rng, xb.shape, rate) if rate else None
+        mask = dropout_mask(rng, rate, work.mask) if rate else None
         want_loss, want = _oracle_loss_and_grads(net, params, xb.copy(), yb.copy(), spec, mask)
         loss, got, _ = loss_and_grads(net, params, xb, yb, spec, mask, grads, work)
         assert got is grads
