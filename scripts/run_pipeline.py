@@ -1,6 +1,6 @@
 """Run the full pipeline (generate -> report) with a self-contained default config.
 
-    python3 scripts/run_pipeline.py --out runs/demo [--seed 7] [--config my.json]
+    python3 scripts/run_pipeline.py --out runs/demo [--seed 7] [--config my.json] [--threads N]
 
 Without --config, a moderate synthetic config is written into the run directory
 first, so the whole study is reproducible from that one file.
@@ -13,6 +13,7 @@ import sys
 from arrkit.cli import main as cli_main
 from arrkit.config import RunConfig, SplitSpec, save_config
 from arrkit.market_data import CoMovementSpec, RegimeSpec, SyntheticMarketConfig
+from arrkit.search import usable_cpus
 
 VERBS = ("generate", "train", "arr", "analyze", "forecast", "report")
 
@@ -47,7 +48,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="run seed")
     parser.add_argument("--config", default=None,
                         help="existing config JSON (default: write one into --out)")
-    parser.add_argument("--threads", type=int, default=1, help="forecast workers")
+    parser.add_argument("--threads", type=int, default=usable_cpus(),
+                        help="worker processes of train and forecast (default: usable CPUs)")
     args = parser.parse_args(argv)
 
     if args.config is None:
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
 
     for verb in VERBS:
         argv = [verb, "--config", config_path, "--out", args.out]
-        if verb == "forecast" and args.threads > 1:
+        if verb in ("train", "forecast"):
             argv += ["--threads", str(args.threads)]
         print(f"$ arrkit {' '.join(argv)}")
         rc = cli_main(argv)

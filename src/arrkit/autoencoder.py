@@ -10,7 +10,6 @@ reconstruction error. Hyperparameters come from random search over a fixed grid.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .nn import (
     DenseNet, LossSpec, Params, TrainConfig, TrainingDiverged, forward, init_params, train_dense_net,
 )
 from .returns_metrics import ReturnsPanel
+from .search import draw_configs, first_best, map_arms
 
 SECONDS_PER_DAY = 86400
 
@@ -189,48 +189,15 @@ class AeSearchResult:
     trials: tuple[AeTrial, ...]
 
 
-_panels: tuple = ()  # (train, val) of the search a worker process serves
-_OPENBLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                         "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
-
-def _serve(*panels: ReturnsPanel) -> None:
-    """Pool initializer: hand a worker the search's (train, val) once, not with every arm."""
-    global _panels
-    _panels = panels
-    _one_blas_thread()
-
-
-def _one_blas_thread() -> None:
-    """Cap the OpenBLAS of this process at one thread, where /proc (Linux) lists it. The
-    arms already fill the CPUs; a BLAS thread per CPU in every worker spins against the
-    other workers' arms (gate 1's search then ran over twice as long as in one process)."""
-    if os.path.exists("/proc/self/maps"):
-        import ctypes
-
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line}
-        for lib in map(ctypes.CDLL, libs):
-            for name in _OPENBLAS_SET_THREADS:
-                if hasattr(lib, name):
-                    getattr(lib, name)(1)
-
-
-def _train_arm(job, panels: tuple = ()):
-    """One arm from (config, seed, arm) as (model, history, error); divergence is an error."""
-    config, seed, arm = job
-    train, val = panels or _panels
+def _train_arm(job, train: ReturnsPanel, val: ReturnsPanel, seed: int):
+    """One arm from (arm, config) as (model, history, error); divergence is an error."""
+    arm, config = job
     arm_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm,)))
     try:
         model, history = train_autoencoder(train, val, config, seed=arm_rng)
     except TrainingDiverged as exc:
         return None, [], str(exc)
     return model, history, None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def random_search_ae(
@@ -240,6 +207,7 @@ def random_search_ae(
     iterations: int = 20,
     seed: int = 0,
     max_epochs: int = 100,
+    workers: int | None = None,
 ) -> AeSearchResult:
     """Uniform-with-replacement search over the hyperparameter grid product.
 
@@ -247,36 +215,24 @@ def random_search_ae(
     error and excluded from the argmin. A trial's val_loss is the reconstruction MSE of
     its best epoch (the parameters actually returned for that trial).
 
-    The arms train on min(iterations, usable CPUs) processes. Each arm has its own seed
-    and reads no other arm's result, so the outcome does not depend on that number.
+    The arms train on min(iterations, workers) processes (default: the usable CPUs), each
+    on one BLAS thread. Each arm has its own seed and reads no other arm's result, so the
+    outcome does not depend on that number.
     """
     grid = DEFAULT_AE_GRID if grid is None else grid
     if iterations < 1:
         raise ValueError("iterations must be positive")
     _normalization(train, val)  # bad panels fail here, before any process starts
-    keys = sorted(grid)
-    config_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    jobs = []  # every config drawn up front: training never touches config_rng
-    for arm in range(iterations):
-        choice = {k: grid[k][int(config_rng.integers(len(grid[k])))] for k in keys}
-        jobs.append((AeTrainConfig(max_epochs=max_epochs, **choice), seed, arm))
-    workers = min(iterations, _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
-
-        with ProcessPoolExecutor(workers, initializer=_serve, initargs=(train, val)) as pool:
-            results = list(pool.map(_train_arm, jobs))
-    else:
-        results = [_train_arm(job, (train, val)) for job in jobs]
-    trials: list[AeTrial] = []
-    best: tuple[float, AutoencoderModel, AeTrainConfig] | None = None
-    for (config, _, arm), (model, history, error) in zip(jobs, results):
-        val_loss = None if error else min(h["val_fit"] for h in history)
-        trials.append(AeTrial(arm, config, tuple(history), val_loss, error))
-        if val_loss is not None and (best is None or val_loss < best[0]):
-            best = (val_loss, model, config)
+    configs = [AeTrainConfig(max_epochs=max_epochs, **c) for c in draw_configs(grid, iterations, seed)]
+    results = map_arms(_train_arm, list(enumerate(configs)), (train, val, seed), workers)
+    trials = tuple(
+        AeTrial(arm, config, tuple(history), None if error else min(h["val_fit"] for h in history), error)
+        for arm, (config, (_, history, error)) in enumerate(zip(configs, results))
+    )
+    best = first_best([t.val_loss for t in trials])
     if best is None:
         raise RuntimeError("every search trial failed")
     return AeSearchResult(  # replace re-freezes the normalization a worker's pickle thawed
-        best_config=best[2], best_val_loss=best[0], best_model=replace(best[1]), trials=tuple(trials)
+        best_config=configs[best], best_val_loss=trials[best].val_loss,
+        best_model=replace(results[best][0]), trials=trials,
     )

@@ -1,6 +1,7 @@
 """Command-line entry point: generate | train | arr | analyze | forecast | report.
 
-Every verb takes the same global flags (--config, --out, --seed, --threads). Success
+Every verb takes the same global flags (--config, --out, --seed, --threads); --threads
+caps the worker processes of train and forecast, and defaults to the usable CPUs. Success
 exits 0 with a one-line summary on stdout; failures exit nonzero after printing a
 machine-readable JSON error object to stderr.
 """
@@ -22,6 +23,7 @@ from .pipeline import (
     cmd_report,
     cmd_train,
 )
+from .search import usable_cpus
 
 VERBS = ("generate", "train", "arr", "analyze", "forecast", "report")
 
@@ -37,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=None, help="run directory (default: config output_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes (forecast)")
+        p.add_argument("--threads", type=int, default=usable_cpus(),
+                       help="worker processes of train and forecast (default: usable CPUs)")
     return parser
 
 
@@ -62,7 +65,7 @@ def main(argv=None) -> int:
             manifest = cmd_generate(cfg, out_dir)
             print(f"generate: {manifest['n_rows']} rows x {manifest['n_assets']} assets")
         elif args.verb == "train":
-            manifest = cmd_train(cfg, out_dir)
+            manifest = cmd_train(cfg, out_dir, threads=args.threads)
             print(f"train: wrote {', '.join(manifest['outputs'])}")
         elif args.verb == "arr":
             manifest = cmd_arr(cfg, out_dir)

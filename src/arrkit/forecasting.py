@@ -28,6 +28,7 @@ from .nn import (
     train_dense_net,
 )
 from .returns_metrics import CrashLabels, RiskSeries
+from .search import draw_configs, first_best, map_arms
 from .stats import auroc, r_squared
 
 FREQUENCIES = tuple(WINDOWS)
@@ -635,6 +636,22 @@ class SearchCvResult:
     trials: tuple[CvTrial, ...]
 
 
+def _cv_arm(job, fold_sets, family: str, task: str, seed: int):
+    """(fold scores, mean score, error) of one arm from (arm, params)."""
+    arm, params = job
+    spec = ModelSpec(family=family, params=params, task=task, seed=seed)
+    score_fn = auroc if task == "classification" else r_squared
+    scores = []
+    try:
+        for f, (x_tr, y_tr, x_val, y_val) in enumerate(fold_sets):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm, f)))
+            model = train_model(spec, x_tr, y_tr, rng=rng)
+            scores.append(float(score_fn(y_val, model.predict(x_val))))
+    except (ValueError, ArithmeticError, TrainingDiverged) as exc:
+        return None, None, str(exc)
+    return tuple(scores), float(np.mean(scores)), None
+
+
 def random_search_cv(
     dataset: ForecastDataset,
     family: str,
@@ -654,7 +671,6 @@ def random_search_cv(
         raise ValueError(f"unknown family {family!r}")
     grid = FORECAST_GRIDS[family] if grid is None else grid
     x, y = dataset.features, dataset.target
-    score_fn = auroc if dataset.task == "classification" else r_squared
     blocks = chronological_folds(len(y), folds)
     fold_sets = []
     for f, block in enumerate(blocks):
@@ -665,34 +681,15 @@ def random_search_cv(
             x_tr, y_tr = oversample_minority(x_tr, y_tr, fold_rng)
         fold_sets.append((x_tr, y_tr, x[block], y[block]))
 
-    keys = sorted(grid)
-    config_rng = np.random.default_rng(np.random.SeedSequence(seed))
-    memo: dict[tuple, CvTrial] = {}
-    trials: list[CvTrial] = []
-    best: tuple[float, dict] | None = None
-    for arm in range(iterations):
-        params = {k: grid[k][int(config_rng.integers(len(grid[k])))] for k in keys}
-        key = tuple(params[k] for k in keys)
-        if key in memo:
-            prior = memo[key]
-            trials.append(CvTrial(arm=arm, params=params, fold_scores=prior.fold_scores,
-                                  mean_score=prior.mean_score, error=prior.error))
-            continue
-        spec = ModelSpec(family=family, params=params, task=dataset.task, seed=seed)
-        try:
-            scores = []
-            for f, (x_tr, y_tr, x_val, y_val) in enumerate(fold_sets):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm, f)))
-                model = train_model(spec, x_tr, y_tr, rng=rng)
-                scores.append(float(score_fn(y_val, model.predict(x_val))))
-            trial = CvTrial(arm=arm, params=params, fold_scores=tuple(scores),
-                            mean_score=float(np.mean(scores)))
-        except (ValueError, ArithmeticError, TrainingDiverged) as exc:
-            trial = CvTrial(arm=arm, params=params, error=str(exc))
-        memo[key] = trial
-        trials.append(trial)
-        if trial.error is None and (best is None or trial.mean_score > best[0]):
-            best = (trial.mean_score, params)
+    configs = draw_configs(grid, iterations, seed)
+    first: dict[tuple, int] = {}  # a repeated config reuses the evaluation of its first arm
+    sources = [first.setdefault(tuple(params.values()), arm) for arm, params in enumerate(configs)]
+    jobs = [(arm, configs[arm]) for arm in first.values()]
+    # in process: the forecast stage spreads its cells, not their arms, over the workers
+    results = map_arms(_cv_arm, jobs, (fold_sets, family, dataset.task, seed), workers=1)
+    evaluated = dict(zip(first.values(), results))
+    trials = tuple(CvTrial(arm, configs[arm], *evaluated[src]) for arm, src in enumerate(sources))
+    best = first_best([None if t.error is not None else -t.mean_score for t in trials])  # highest score
     if best is None:
         raise RuntimeError("every search trial failed")
 
@@ -700,8 +697,8 @@ def random_search_cv(
     if dataset.task == "classification":
         refit_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iterations,)))
         x_fit, y_fit = oversample_minority(x_fit, y_fit, refit_rng)
-    winner = ModelSpec(family=family, params=best[1], task=dataset.task, seed=seed)
+    winner = ModelSpec(family=family, params=configs[best], task=dataset.task, seed=seed)
     final_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iterations, 0)))
     model = train_model(winner, x_fit, y_fit, rng=final_rng)
-    return SearchCvResult(spec=winner, model=model, best_score=best[0], trials=tuple(trials))
+    return SearchCvResult(spec=winner, model=model, best_score=trials[best].mean_score, trials=trials)
 

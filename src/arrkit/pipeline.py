@@ -13,7 +13,6 @@ import datetime as dt
 import json
 import os
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .returns_metrics import (
     window_sums,
     winsorize,
 )
+from .search import map_arms
 from .serialization import (
     load_autoencoder,
     load_pca,
@@ -237,9 +237,10 @@ def _ae_trials_jsonl(trials, path) -> None:
             }, sort_keys=True) + "\n")
 
 
-def cmd_train(cfg: RunConfig, out_dir) -> dict:
-    """Random-search the autoencoder on train/validation; fit the linear factor model
-    on the train+validation window. Writes serialized models plus the trial log."""
+def cmd_train(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
+    """Random-search the autoencoder on train/validation, its arms on up to `threads`
+    worker processes (default: the usable CPUs); fit the linear factor model on the
+    train+validation window. Writes serialized models plus the trial log."""
     ticks, _ = load_panel(cfg, out_dir)
     sectors = _sector_ticks(ticks, cfg)
     returns = log_returns(sectors, 1)
@@ -255,7 +256,7 @@ def cmd_train(cfg: RunConfig, out_dir) -> dict:
         train = returns.select_sessions(*cfg.splits.train)
         val = returns.select_sessions(*cfg.splits.validation)
         search = random_search_ae(
-            train, val, iterations=cfg.ae_search_iterations, seed=cfg.seed
+            train, val, iterations=cfg.ae_search_iterations, seed=cfg.seed, workers=threads
         )
         save_autoencoder(
             search.best_model,
@@ -491,61 +492,32 @@ def _subset_dataset(ds: ForecastDataset, idx: np.ndarray) -> ForecastDataset:
                                feature_times=ds.feature_times[idx], target_times=ds.target_times[idx])
 
 
-def _forecast_cell(args) -> dict:
-    """One (horizon, task, family) cell: paired with/without searches plus bootstrap."""
-    (train_with, test_with, train_without, test_without,
-     family, iterations, folds, seed_search, seed_boot) = args
-    task = train_with.task
+def _forecast_cell(job) -> dict:
+    """One (horizon, task, family) cell: paired with/without searches plus bootstrap, or
+    a failed row that gives the reason its datasets could not be built."""
+    horizon, task, family, splits, iterations, folds, seed_search, seed_boot = job
     metric = "auroc" if task == "classification" else "r2"
-    row = {
-        "horizon": FREQ_NAMES[train_with.horizon],
-        "task": task,
-        "family": family,
-        "metric": metric,
-        "n_train": int(len(train_with)),
-        "n_test": int(len(test_with)),
-        "status": "ok",
-        "reason": None,
-    }
+    row = {"horizon": FREQ_NAMES[horizon], "task": task, "family": family, "metric": metric,
+           "n_train": 0, "n_test": 0, "status": "ok", "reason": None}
+    if isinstance(splits, str):
+        return dict(row, status="failed", reason=splits)
+    test_target = splits[True][1].target  # the with/without datasets share rows and targets
+    row.update(n_train=int(len(splits[True][0])), n_test=int(len(test_target)))
+    score_fn = auroc if metric == "auroc" else r_squared
+    found, preds = {}, {}
     try:
-        searched = {}
-        for label, train, test in (
-            ("with_arr", train_with, test_with),
-            ("without_arr", train_without, test_without),
-        ):
-            result = random_search_cv(
-                train, family, iterations=iterations, folds=folds, seed=seed_search
-            )
-            preds = np.asarray(result.model.predict(test.features), dtype=np.float64)
-            score_fn = auroc if metric == "auroc" else r_squared
-            score = float(score_fn(test.target, preds))
-            searched[label] = {
-                "score": score,
-                "preds": preds,
-                "params": result.spec.params,
-                "cv_score": result.best_score,
-            }
-        boot = paired_bootstrap(
-            test_with.target,
-            searched["with_arr"]["preds"],
-            searched["without_arr"]["preds"],
-            metric=metric,
-            seed=seed_boot,
-        )
-        row.update(
-            score_with_arr=searched["with_arr"]["score"],
-            score_without_arr=searched["without_arr"]["score"],
-            observed_diff=boot.observed_diff,
-            p_value=boot.p_value,
-            p_string=boot.p_string(),
-            params_with_arr=searched["with_arr"]["params"],
-            params_without_arr=searched["without_arr"]["params"],
-            cv_score_with_arr=searched["with_arr"]["cv_score"],
-            cv_score_without_arr=searched["without_arr"]["cv_score"],
-        )
+        for label, (train, test) in (("with_arr", splits[True]), ("without_arr", splits[False])):
+            result = random_search_cv(train, family, iterations=iterations, folds=folds, seed=seed_search)
+            preds[label] = np.asarray(result.model.predict(test.features), dtype=np.float64)
+            found[f"score_{label}"] = float(score_fn(test.target, preds[label]))
+            found[f"params_{label}"] = result.spec.params
+            found[f"cv_score_{label}"] = result.best_score
+        boot = paired_bootstrap(test_target, preds["with_arr"], preds["without_arr"],
+                                metric=metric, seed=seed_boot)
     except (ValueError, RuntimeError) as exc:
-        row.update(status="failed", reason=str(exc))
-    return row
+        return dict(row, status="failed", reason=str(exc))
+    return dict(row, **found, observed_diff=boot.observed_diff, p_value=boot.p_value,
+                p_string=boot.p_string())
 
 
 def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar, out_dir):
@@ -565,7 +537,7 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
         arr[freq] = read_arr_csv(path, freq, source)
 
     test_lo, test_hi = cfg.splits.test
-    tasks, cells = [], []
+    tasks = []
     for hi, horizon in enumerate(FREQUENCIES):
         if horizon not in cfg.horizons:
             continue
@@ -592,25 +564,13 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
                         raise ValueError("empty train or test split for this horizon")
                     splits[flag] = (_subset_dataset(ds, tr), _subset_dataset(ds, te))
             except ValueError as exc:
-                for family in families:
-                    cells.append({
-                        "horizon": FREQ_NAMES[horizon], "task": task, "family": family,
-                        "metric": "auroc" if task == "classification" else "r2",
-                        "n_train": 0, "n_test": 0,
-                        "status": "failed", "reason": str(exc),
-                    })
-                continue
+                splits = str(exc)
             for fi, family in enumerate(families):
                 tasks.append((
-                    splits[True][0], splits[True][1],
-                    splits[False][0], splits[False][1],
-                    family,
-                    cfg.forecast_search_iterations,
-                    cfg.cv_folds,
-                    _seed_from(hi, ti, fi, 0, base=cfg.seed),
-                    _seed_from(hi, ti, fi, 1, base=cfg.seed),
+                    horizon, task, family, splits, cfg.forecast_search_iterations, cfg.cv_folds,
+                    _seed_from(hi, ti, fi, 0, base=cfg.seed), _seed_from(hi, ti, fi, 1, base=cfg.seed),
                 ))
-    return tasks, cells
+    return tasks
 
 
 _RESULT_COLUMNS = (
@@ -625,16 +585,12 @@ def _row_order(row: dict) -> tuple:
     return (order[row["horizon"]], row["task"], row["family"])
 
 
-def cmd_forecast(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
-    """The with/without-ratio forecasting grid: horizons × families × both tasks."""
+def cmd_forecast(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
+    """The with/without-ratio forecasting grid: horizons × families × both tasks, its
+    cells on up to `threads` worker processes (default: the usable CPUs)."""
     ticks, calendar = load_panel(cfg, out_dir)
-    tasks, rows = _forecast_tasks(cfg, ticks, calendar, out_dir)
-
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows.extend(pool.map(_forecast_cell, tasks))
-    else:
-        rows.extend(_forecast_cell(t) for t in tasks)
+    tasks = _forecast_tasks(cfg, ticks, calendar, out_dir)
+    rows = map_arms(_forecast_cell, tasks, workers=threads)
     rows.sort(key=_row_order)
     if rows and all(r["status"] == "failed" for r in rows):
         raise StageError(

@@ -1,6 +1,8 @@
 """Autoencoder architecture, normalization, training, and hyperparameter search."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,18 +256,17 @@ def test_search_records_diverged_trials_and_rejects_all_failed():
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_search_does_not_depend_on_the_worker_count(monkeypatch):
+def test_search_does_not_depend_on_the_worker_count():
     """Arms trained in-process, on two and on three worker processes give the same
     trials, the same choice and the same bytes of the chosen model."""
-    from arrkit import autoencoder
     from arrkit.nn import flatten
 
     tr, va = _toy_panels(seed=13, n_train=300, n_val=100)
     grid = dict(MIXED_GRID, dropout_rate=(0.0, 0.2), l1_weight=(0.0, 0.1))
-    runs = {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda w=workers: w)
-        runs[workers] = random_search_ae(tr, va, grid=grid, iterations=5, seed=1, max_epochs=3)
+    runs = {
+        workers: random_search_ae(tr, va, grid=grid, iterations=5, seed=1, max_epochs=3, workers=workers)
+        for workers in (1, 2, 3)
+    }
     one = runs[1]
     assert any(t.error for t in one.trials) and any(t.error is None for t in one.trials)
     assert not one.best_model.mean.flags.writeable
@@ -298,14 +299,64 @@ def _openblas_threads():
             if hasattr(lib, name)]
 
 
+def _arm_blas_threads(job):
+    return _openblas_threads()
+
+
 def test_search_workers_run_one_blas_thread():
     """A search worker caps its OpenBLAS at one thread, so that the workers' BLAS threads
-    do not spin against the arms of the other workers."""
+    do not spin against the arms of the other workers; an arm run in process has one
+    thread too, and the process gets its own count back after the map."""
     from concurrent.futures import ProcessPoolExecutor
 
-    from arrkit import autoencoder
+    from arrkit import search
 
     if not os.path.exists("/proc/self/maps") or not _openblas_threads():
         pytest.skip("no readable OpenBLAS thread count in this process")
-    with ProcessPoolExecutor(1, initializer=autoencoder._serve, initargs=((), ())) as pool:
+    with ProcessPoolExecutor(1, initializer=search._serve, initargs=(None, ())) as pool:
         assert pool.submit(_openblas_threads).result() == [1] * len(_openblas_threads())
+    before = _openblas_threads()
+    assert search.map_arms(_arm_blas_threads, [0, 1], workers=1) == [[1] * len(before)] * 2
+    assert _openblas_threads() == before
+
+
+_BLAS_ARM = """
+import hashlib
+import numpy as np
+from arrkit.autoencoder import random_search_ae
+from arrkit.nn import flatten
+from arrkit.returns_metrics import ReturnsPanel
+
+rng = np.random.default_rng(3)
+n_assets, n_train, n_val = 100, 4096, 1024
+r = rng.normal(size=(n_train + n_val, 1)) * 1e-4 * rng.uniform(0.5, 1.5, size=n_assets)
+r += rng.normal(size=r.shape) * 1e-6
+ts = np.arange(len(r), dtype=np.int64) + 34201
+ids = tuple(f"A{i}" for i in range(n_assets))
+si = np.zeros(len(r), dtype=np.int64)
+tr = ReturnsPanel(ts[:n_train], r[:n_train], ids, 1, si[:n_train])
+va = ReturnsPanel(ts[n_train:], r[n_train:], ids, 1, si[n_train:])
+grid = {"dropout_rate": (0.0,), "l1_weight": (0.0,), "batch_size": (1024,),
+        "learning_rate": (0.1,), "clip_norm": (1e-4,)}
+result = random_search_ae(tr, va, grid=grid, iterations=1, seed=0, max_epochs=3)
+print(hashlib.sha256(flatten(result.best_model.params).tobytes()).hexdigest())
+"""
+
+
+def test_search_arm_does_not_depend_on_the_blas_thread_count():
+    """One 100-asset arm (3 epochs, learning rate 0.1, batch 1024), searched in process
+    under OPENBLAS_NUM_THREADS=1 and =2, ends at the same weight bytes: the search runs
+    its arms on one BLAS thread whatever the process was started with."""
+    from arrkit.search import _openblas
+
+    if not _openblas():
+        pytest.skip("no OpenBLAS thread-count setter found in this process")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _BLAS_ARM], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]

@@ -302,6 +302,24 @@ def test_forecast_outputs(run):
             assert cell["reason"]
 
 
+def test_forecast_does_not_depend_on_the_worker_count(run, tmp_path):
+    """Forecast cells run in process and on two or three worker processes give
+    byte-equal results.json; two horizons make four cells, so each of three workers
+    gets one."""
+    import shutil
+
+    cfg = dataclasses.replace(run["cfg"], horizons=(300, 3600))
+    for stage in ("data", "arr"):
+        shutil.copytree(os.path.join(run["out"], stage), os.path.join(tmp_path, stage))
+    results = {}
+    for workers in (1, 2, 3):
+        manifest = arrkit.pipeline.cmd_forecast(cfg, str(tmp_path), threads=workers)
+        assert manifest["n_cells"] == 4
+        with open(os.path.join(tmp_path, "forecast", "results.json"), "rb") as fh:
+            results[workers] = fh.read()
+    assert results[1] == results[2] == results[3]
+
+
 # ---------------------------------------------------------------------------
 # report
 

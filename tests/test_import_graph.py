@@ -2,7 +2,7 @@
 
 scipy serves the tests as an oracle; loading `scipy.stats` costs about half a second
 and 60 MB at each start of a CLI verb, so the package must not import it. The process
-pool of the autoencoder search is imported only when a search starts one.
+pool of the searches is imported only when a search starts one.
 """
 
 import os
@@ -26,13 +26,13 @@ def test_importing_arrkit_loads_no_scipy():
 
 
 def test_importing_arrkit_starts_no_process_pool_machinery():
-    """The autoencoder search loads its process pool when it runs one, so a process that
-    imports arrkit without the pipeline pays no import of it at start-up."""
+    """The searches load their process pool when they run one, so a process that imports
+    arrkit, its CLI or its pipeline pays no import of it at start-up."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
     code = (
         "import sys\n"
-        "import arrkit\n"
+        "import arrkit, arrkit.cli, arrkit.pipeline\n"
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
