@@ -24,8 +24,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    timestamps = 34200 + np.arange(1, SESSION_SECONDS)
-    n = len(timestamps)
+    n = SESSION_SECONDS - 1  # the one-second returns of one session opening at 09:30
     factors = rng.standard_normal((n, 2))
     loadings = rng.standard_normal((2, args.assets))
     x = factors @ loadings + 0.6 * rng.standard_normal((n, args.assets))
@@ -35,8 +34,7 @@ def main(argv=None) -> int:
     for k in range(1, args.assets + 1):
         model = fit_pca(x, k)
         recon = ReconstructionResult(
-            timestamps=timestamps, actual=x, reconstructed=pca_reconstruct(model, x),
-            session_index=np.zeros(n, dtype=np.int64),
+            opens=[34200], actual=x, reconstructed=pca_reconstruct(model, x),
             asset_ids=tuple(f"a{i}" for i in range(args.assets)), source="pca",
         )
         ratio = compute_arr(recon, ONE_DAY).values[0]

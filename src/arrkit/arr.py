@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ONE_WEEK
+from .market_data import ONE_WEEK, check_blocks
 from .pca import PcaModel, pca_reconstruct
 from .returns_metrics import ReturnsPanel, _check_interval, ewm_stats, window_sums
 
@@ -23,12 +23,12 @@ ARR_SOURCES = ("autoencoder", "pca")
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Per-return actual vs reconstructed panels from one compression model."""
+    """Per-return actual vs reconstructed panels from one compression model, on the
+    session-major rows of the `ReturnsPanel` they came from."""
 
-    timestamps: np.ndarray  # int64 [T]
+    opens: np.ndarray  # int64 [S]
     actual: np.ndarray  # float64 [T, N]
     reconstructed: np.ndarray  # float64 [T, N]
-    session_index: np.ndarray  # int64 [T]
     asset_ids: tuple[str, ...]
     source: str
 
@@ -39,7 +39,8 @@ class ReconstructionResult:
             raise ValueError("actual/reconstructed shape mismatch")
         if not np.all(np.isfinite(self.reconstructed)):
             raise ValueError("non-finite reconstruction")
-        for name in ("timestamps", "actual", "reconstructed", "session_index"):
+        object.__setattr__(self, "opens", check_blocks(self.opens, len(self.actual)))
+        for name in ("actual", "reconstructed"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -88,10 +89,9 @@ def pca_reconstruction(model: PcaModel, returns: ReturnsPanel) -> Reconstruction
     if model.n_assets != returns.n_assets:
         raise ValueError("model/panel asset count mismatch")
     return ReconstructionResult(
-        timestamps=returns.timestamps,
+        opens=returns.opens,
         actual=returns.returns,
         reconstructed=pca_reconstruct(model, returns.returns),
-        session_index=returns.session_index,
         asset_ids=returns.asset_ids,
         source="pca",
     )
@@ -108,12 +108,8 @@ def compute_arr(
     err = result.actual - result.reconstructed
     sq_err = np.einsum("ij,ij->i", err, err)
     sq_act = np.einsum("ij,ij->i", result.actual, result.actual)
-    stamps, num, _ = window_sums(
-        sq_err, result.timestamps, result.session_index, interval, rolling_weekly=rolling_weekly
-    )
-    _, den, _ = window_sums(
-        sq_act, result.timestamps, result.session_index, interval, rolling_weekly=rolling_weekly
-    )
+    stamps, num, _ = window_sums(sq_err, result.opens, interval, rolling_weekly=rolling_weekly)
+    _, den, _ = window_sums(sq_act, result.opens, interval, rolling_weekly=rolling_weekly)
     keep = den > 0
     return ArrSeries(
         timestamps=stamps[keep],

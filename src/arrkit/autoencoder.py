@@ -92,8 +92,6 @@ class AutoencoderModel:
 
 def _normalization(train: ReturnsPanel, val: ReturnsPanel) -> tuple[np.ndarray, np.ndarray]:
     """The per-asset training mean and std, once the panels pass the checks of training."""
-    if train.interval != 1 or val.interval != 1:
-        raise ValueError("training expects 1-second returns")
     if train.returns.shape[0] == 0:
         raise ValueError("empty training set")
     if train.n_assets < 5:
@@ -134,8 +132,6 @@ def reconstruct_series(
     model: AutoencoderModel, panel: ReturnsPanel, chunk_size: int = 65536
 ) -> ReconstructionResult:
     """Inference over a per-second panel (no dropout); raw-scale reconstructions."""
-    if panel.interval != 1:
-        raise ValueError("reconstruction expects 1-second returns")
     if panel.asset_ids != model.asset_ids:
         raise ValueError("asset universe differs from the training universe")
     n = panel.returns.shape[0]
@@ -145,16 +141,16 @@ def reconstruct_series(
     if len(bounds) > 2 and n - bounds[-2] == 1:
         del bounds[-2]
     out = np.empty_like(panel.returns)
+    stamps = panel.timestamps
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sl = slice(lo, hi)
-        x = model.features(panel.returns[sl], panel.timestamps[sl])
+        x = model.features(panel.returns[sl], stamps[sl])
         y, _ = forward(model.net, model.params, x)
         out[sl] = model.denormalize(y)
     return ReconstructionResult(
-        timestamps=panel.timestamps,
+        opens=panel.opens,
         actual=panel.returns,
         reconstructed=out,
-        session_index=panel.session_index,
         asset_ids=panel.asset_ids,
         source="autoencoder",
     )

@@ -5,7 +5,10 @@ per-second grid of a session calendar, so this module owns the grid conventions:
 
 * a full session covers 23400 seconds (6.5 hours), grid seconds [open, open + 23400);
 * returns never span a session boundary (the first second of a session has no return);
-* timestamps are epoch seconds with sessions placed at 09:30-16:00 UTC.
+* timestamps are epoch seconds with sessions placed at 09:30-16:00 UTC;
+* a panel is session-major: its rows are blocks of consecutive seconds, one block per
+  session, and it stores one open epoch per block; a row's timestamp is derived from
+  its block's open, never stored.
 """
 
 from __future__ import annotations
@@ -48,15 +51,13 @@ class SessionCalendar:
     def n_sessions(self) -> int:
         return len(self.sessions)
 
+    @property
+    def opens(self) -> np.ndarray:
+        """The open epoch of every session, in order."""
+        return np.array([o for _, o, _ in self.sessions], dtype=np.int64)
+
     def dates(self) -> list[dt.date]:
         return [d for d, _, _ in self.sessions]
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-second (timestamps, session_index) rows of every session, in order."""
-        opens = np.array([o for _, o, _ in self.sessions], dtype=np.int64)
-        timestamps = (opens[:, None] + np.arange(SESSION_SECONDS, dtype=np.int64)).ravel()
-        session_index = np.repeat(np.arange(self.n_sessions, dtype=np.int64), SESSION_SECONDS)
-        return timestamps, session_index
 
 
 def _date_open_epoch(date: dt.date) -> int:
@@ -100,39 +101,44 @@ def weekday_dates(start: dt.date, count: int) -> list[dt.date]:
 # tick panel
 
 
+def check_blocks(opens, n_rows: int) -> np.ndarray:
+    """`opens` as read-only int64, once `n_rows` rows split into len(opens) equal blocks of
+    consecutive seconds, each block opening after the one before it has ended."""
+    opens = np.ascontiguousarray(opens, dtype=np.int64)
+    if opens.ndim != 1 or len(opens) == 0 or n_rows % len(opens):
+        raise ValueError(f"{n_rows} rows do not split into {len(opens)} equal blocks")
+    if np.any(np.diff(opens) < max(n_rows // len(opens), 1)):
+        raise ValueError("block opens must increase, and blocks must not overlap")
+    opens.setflags(write=False)
+    return opens
+
+
+def block_stamps(opens: np.ndarray, n_rows: int, first: int) -> np.ndarray:
+    """The epoch second of each of `n_rows` rows whose blocks start at opens + first."""
+    return (opens[:, None] + np.arange(first, first + n_rows // len(opens))).ravel()
+
+
 @dataclass(frozen=True)
 class TickPanel:
-    """Aligned per-second prices for N assets across the sessions of a calendar.
+    """Per-second prices for N assets, session-major: row j of block s is the price at
+    second opens[s] + j. A panel on a calendar has one 23,400-row block per session.
 
     Immutable: arrays are marked read-only at construction and safe to share.
     """
 
-    timestamps: np.ndarray  # int64 [T], strictly increasing
-    prices: np.ndarray  # float64 [T, N], strictly positive
+    opens: np.ndarray  # int64 [S], the first second of each block
+    prices: np.ndarray  # float64 [T, N], strictly positive; T a multiple of S
     asset_ids: tuple[str, ...]
-    session_index: np.ndarray  # int64 [T]
 
     def __post_init__(self):
-        ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
         px = np.ascontiguousarray(self.prices, dtype=np.float64)
-        si = np.ascontiguousarray(self.session_index, dtype=np.int64)
-        if px.ndim != 2 or ts.shape != (px.shape[0],) or si.shape != ts.shape:
-            raise ValueError("inconsistent panel shapes")
-        if px.shape[1] != len(self.asset_ids):
-            raise ValueError("asset_ids length does not match price columns")
+        if px.ndim != 2 or px.shape[1] != len(self.asset_ids):
+            raise ValueError("prices must be a 2-D array with one column per asset id")
         if not np.all(np.isfinite(px)) or np.any(px <= 0.0):
             raise ValueError("non-positive price")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        # within a session the grid is exactly 1 second
-        same = np.diff(si) == 0
-        if np.any(np.diff(ts)[same] != 1):
-            raise ValueError("gap in per-second grid within a session")
-        if np.any(np.diff(si) < 0):
-            raise ValueError("session_index must be non-decreasing")
-        for name, arr in (("timestamps", ts), ("prices", px), ("session_index", si)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "opens", check_blocks(self.opens, len(px)))
+        px.setflags(write=False)
+        object.__setattr__(self, "prices", px)
         object.__setattr__(self, "asset_ids", tuple(self.asset_ids))
 
     @property
@@ -143,17 +149,10 @@ class TickPanel:
     def n_rows(self) -> int:
         return self.prices.shape[0]
 
-    def session_slices(self) -> list[slice]:
-        return session_slices(self.session_index)
-
-
-def session_slices(session_index: np.ndarray) -> list[slice]:
-    """Contiguous row slices, one per session ordinal present in the array."""
-    if len(session_index) == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(session_index) != 0) + 1
-    edges = np.concatenate(([0], breaks, [len(session_index)]))
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The epoch second of every row."""
+        return block_stamps(self.opens, self.n_rows, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,8 @@ def generate_synthetic_market_details(
     if c != 0.0:
         signal += (factors ** 3) @ (c * loadings_cub.T)
 
-    offsets = np.tile(np.arange(SESSION_SECONDS, dtype=np.int64), s_count)
-    profile = intraday_profile(offsets, config.intraday_amplitude)
+    profile = intraday_profile(np.arange(SESSION_SECONDS), config.intraday_amplitude)
+    profile = np.tile(profile, s_count)
 
     share_path = None
     window_vol = None
@@ -357,11 +356,11 @@ def generate_synthetic_market_details(
         returns = np.hstack([market, returns])
 
     # no overnight move: the first second of each session carries no return
-    returns[offsets == 0, :] = 0.0
+    returns.reshape(s_count, SESSION_SECONDS, -1)[:, 0] = 0.0
     prices = 100.0 * np.exp(np.cumsum(returns, axis=0))
 
-    timestamps, session_index = synthetic_calendar(config).grid()
-    panel = TickPanel(timestamps, prices, default_asset_ids(config.n_assets, config.market_composite), session_index)
+    ids = default_asset_ids(config.n_assets, config.market_composite)
+    panel = TickPanel(synthetic_calendar(config).opens, prices, ids)
     details = SyntheticDetails(loadings_lin, loadings_cub, share_path, window_vol)
     return panel, details
 
@@ -430,7 +429,7 @@ def load_tick_csv(path, calendar: SessionCalendar) -> TickPanel:
 
     # sessions are disjoint and ordered, so a row belongs to the last session opening
     # at or before it, if it falls before that session's close
-    opens = np.array([o for _, o, _ in calendar.sessions], dtype=np.int64)
+    opens = calendar.opens
     ts = np.array(stamps, dtype=np.int64)
     session = np.searchsorted(opens, ts, side="right") - 1
     offset = ts - opens[session]
@@ -457,5 +456,4 @@ def load_tick_csv(path, calendar: SessionCalendar) -> TickPanel:
     np.maximum.accumulate(source, axis=1, out=source)
     np.maximum(source, seen.argmax(axis=1)[:, None, :], out=source)
     prices = np.take_along_axis(grid, source, axis=1).reshape(-1, len(asset_ids))
-    timestamps, session_index = calendar.grid()
-    return TickPanel(timestamps, prices, asset_ids, session_index)
+    return TickPanel(opens, prices, asset_ids)

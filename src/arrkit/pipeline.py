@@ -28,6 +28,7 @@ from .forecasting import (
 )
 from .market_data import (
     ONE_WEEK,
+    SESSION_SECONDS,
     SessionCalendar,
     TickPanel,
     build_session_calendar,
@@ -47,7 +48,7 @@ from .returns_metrics import (
     window_sums,
     winsorize,
 )
-from .search import map_arms
+from .search import map_arms, one_blas_thread
 from .serialization import (
     load_autoencoder,
     load_pca,
@@ -145,8 +146,12 @@ def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
             prices, asset_ids = data["prices"], tuple(data["asset_ids"].tolist())
     except (zipfile.BadZipFile, KeyError) as exc:
         raise StageError(f"malformed {panel_path}: {exc}") from exc
-    timestamps, session_index = calendar.grid()
-    return TickPanel(timestamps, prices, asset_ids, session_index), calendar
+    if prices.shape[:1] != (calendar.n_sessions * SESSION_SECONDS,):
+        raise StageError(
+            f"malformed {panel_path}: prices of shape {prices.shape} for the "
+            f"{calendar.n_sessions} sessions of {cal_path}"
+        )
+    return TickPanel(calendar.opens, prices, asset_ids), calendar
 
 
 def _sector_ticks(ticks: TickPanel, cfg: RunConfig) -> TickPanel:
@@ -154,16 +159,12 @@ def _sector_ticks(ticks: TickPanel, cfg: RunConfig) -> TickPanel:
     composite = cfg.data_source == "synthetic" and cfg.synthetic.market_composite
     if not composite:
         return ticks
-    keep = list(range(1, len(ticks.asset_ids)))
-    return TickPanel(
-        ticks.timestamps, ticks.prices[:, keep], ticks.asset_ids[1:], ticks.session_index
-    )
+    return TickPanel(ticks.opens, ticks.prices[:, 1:], ticks.asset_ids[1:])
 
 
 def _session_of(stamps: np.ndarray, calendar: SessionCalendar) -> np.ndarray:
-    """Session index owning each stamp (stamps in (open, close] map to that session)."""
-    opens = np.array([o for _, o, _ in calendar.sessions], dtype=np.int64)
-    return np.searchsorted(opens, np.asarray(stamps, dtype=np.int64), side="right") - 1
+    """Session ordinal owning each stamp (stamps in (open, close] map to that session)."""
+    return np.searchsorted(calendar.opens, np.asarray(stamps, dtype=np.int64), side="right") - 1
 
 
 def _seed_from(*key: int, base: int) -> int:
@@ -182,8 +183,8 @@ def _selected_sources(cfg: RunConfig) -> tuple[str, ...]:
 
 def cmd_generate(cfg: RunConfig, out_dir) -> dict:
     """The one data stage: generate the synthetic panel or ingest the CSV once, then write
-    its prices and asset ids (panel.npz), its calendar, and the data manifest. The
-    timestamps and session index are rebuilt from the calendar."""
+    its prices and asset ids (panel.npz), its calendar, and the data manifest. A stage
+    that loads the panel takes its session opens from the calendar."""
     if cfg.data_source == "synthetic":
         panel = generate_synthetic_market(cfg.synthetic)
         calendar = synthetic_calendar(cfg.synthetic)
@@ -386,17 +387,12 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
 
 def _market_base(ticks: TickPanel) -> ReturnsPanel:
     """One-second log returns of the market (asset 0) alone."""
-    market = TickPanel(
-        ticks.timestamps, ticks.prices[:, :1], ticks.asset_ids[:1], ticks.session_index
-    )
-    return log_returns(market, 1)
+    return log_returns(TickPanel(ticks.opens, ticks.prices[:, :1], ticks.asset_ids[:1]), 1)
 
 
 def _market_returns(base: ReturnsPanel, freq: int) -> RiskSeries:
     """The market's log returns over `freq` windows, summed from its one-second returns."""
-    stamps, sums, _ = window_sums(
-        base.returns, base.timestamps, base.session_index, freq, rolling_weekly=freq == ONE_WEEK
-    )
+    stamps, sums, _ = window_sums(base.returns, base.opens, freq, rolling_weekly=freq == ONE_WEEK)
     return RiskSeries(stamps, sums[:, 0], "return", freq)
 
 
@@ -452,7 +448,8 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
                 cell.update(status="skipped", reason="fewer than 10 paired observations")
             else:
                 try:
-                    grid = kde2d(x, y)
+                    with one_blas_thread():  # the same bytes whatever the BLAS thread count
+                        grid = kde2d(x, y)
                     cell["spearman"] = spearman(x, y)
                 except ValueError as exc:
                     cell.update(status="skipped", reason=str(exc))

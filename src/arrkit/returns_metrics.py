@@ -1,8 +1,11 @@
 """Log returns, realized variance, drawdowns, EWMA statistics, crash labels, winsorization.
 
-Window conventions (shared by realized variance, reconstruction ratios and interval returns):
+One-second log returns are session-major like the prices they come from: a block of
+23,399 returns per session, at offsets 1..23399 from its open, and one open epoch per block.
+
+Window conventions (shared by realized variance, reconstruction ratios and market returns):
 the four windows of `market_data.WINDOWS` (5 minutes, 1 hour, 1 day, 1 week) are the only
-ones, and they are summed from full sessions of one-second returns. Windows have right
+ones, and `window_sums` sums them from full sessions of one-second values. Windows have right
 edges at open + k*interval inside each session and never straddle sessions. A 6.5-hour
 session yields 78 five-minute windows, 6 complete hourly windows (the final 30 minutes
 belong to no hourly window) and one daily window; weekly windows span 5 sessions (rolling
@@ -23,7 +26,8 @@ from .market_data import (
     SESSION_SECONDS,
     WINDOWS,
     TickPanel,
-    session_slices,
+    block_stamps,
+    check_blocks,
 )
 
 RISK_KINDS = ("log_rv", "drawdown", "return", "arr")
@@ -31,40 +35,41 @@ RISK_KINDS = ("log_rv", "drawdown", "return", "arr")
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """Log returns on the interval grid within sessions; no return spans a boundary."""
+    """One-second log returns, session-major: row j of block s is the return over the
+    second that ends at opens[s] + 1 + j, so no return spans two blocks."""
 
-    timestamps: np.ndarray  # int64 [T] window right edges
-    returns: np.ndarray  # float64 [T, N]
+    opens: np.ndarray  # int64 [S], the open of each block's session
+    returns: np.ndarray  # float64 [T, N]; T a multiple of S
     asset_ids: tuple[str, ...]
-    interval: int  # seconds of session time
-    session_index: np.ndarray  # int64 [T]
 
     def __post_init__(self):
-        for name in ("timestamps", "returns", "session_index"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.returns.shape != (len(self.timestamps), len(self.asset_ids)):
+        returns = np.asarray(self.returns)
+        if returns.ndim != 2 or returns.shape[1] != len(self.asset_ids):
             raise ValueError("inconsistent returns panel shapes")
+        object.__setattr__(self, "opens", check_blocks(self.opens, len(returns)))
+        returns.setflags(write=False)
+        object.__setattr__(self, "returns", returns)
 
     @property
     def n_assets(self) -> int:
         return self.returns.shape[1]
 
-    def session_slices(self) -> list[slice]:
-        return session_slices(self.session_index)
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The epoch second at which each row's return ends."""
+        return block_stamps(self.opens, len(self.returns), 1)
 
     def column(self, asset_id: str) -> np.ndarray:
         return self.returns[:, self.asset_ids.index(asset_id)]
 
     def select_sessions(self, start: int, stop: int) -> "ReturnsPanel":
-        mask = (self.session_index >= start) & (self.session_index < stop)
-        if not mask.any():
+        """Sessions [start, stop) of the panel, as a view of its rows."""
+        opens = self.opens[start:stop]
+        if len(opens) == 0:
             raise ValueError(f"no rows in session range [{start}, {stop})")
-        return ReturnsPanel(
-            self.timestamps[mask], self.returns[mask], self.asset_ids,
-            self.interval, self.session_index[mask] - start,
-        )
+        per = len(self.returns) // len(self.opens)
+        rows = self.returns[start * per : (start + len(opens)) * per]
+        return ReturnsPanel(opens, rows, self.asset_ids)
 
 
 @dataclass(frozen=True)
@@ -105,23 +110,20 @@ class CrashLabels:
 
 
 def window_sums(
-    values: np.ndarray,
-    timestamps: np.ndarray,
-    session_index: np.ndarray,
-    window: int,
-    *,
-    rolling_weekly: bool = False,
+    values: np.ndarray, opens: np.ndarray, window: int, *, rolling_weekly: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum one-second `values` over every aligned window of a supported length.
 
-    values may be [T] or [T, N] (summed along time only) on full sessions of one-second
-    returns. Returns (stamps, sums, window_session) where stamps are window right-edge
-    epochs and window_session is the ordinal of the session the window ends in.
+    values may be [T] or [T, N] (summed along time only): the one-second returns, or a
+    per-row function of them, of the full sessions opening at `opens`. Returns (stamps,
+    sums, window_session) where stamps are window right-edge epochs and window_session is
+    the position in `opens` of the session the window ends in.
     """
     values = np.asarray(values, dtype=np.float64)
-    opens, sessions = _full_sessions(timestamps, session_index, first_offset=1)
-    stamps, ends = _window_edges(opens, window, rolling_weekly)
     n, tail = len(opens), values.shape[1:]
+    if n == 0 or len(values) != n * (SESSION_SECONDS - 1):
+        raise ValueError("incomplete session: expected a full 6.5-hour grid")
+    stamps, ends = _window_edges(opens, window, rolling_weekly)
     # one trailing -0.0 per session makes 78 whole 5-minute buckets; x + -0.0 == x bitwise
     grid = np.concatenate(
         [values.reshape((n, SESSION_SECONDS - 1) + tail), np.full((n, 1) + tail, -0.0)], axis=1
@@ -134,23 +136,7 @@ def window_sums(
     else:
         group, per = window // FIVE_MIN, WINDOWS[window][1]
         sums = fives[:, : per * group].reshape((n * per, group) + tail).sum(axis=1)
-    return stamps, sums, sessions[ends]
-
-
-def _full_sessions(timestamps, session_index, first_offset):
-    """Open epochs and ordinals of full sessions on a one-second grid whose rows sit at
-    offsets first_offset..SESSION_SECONDS-1 from each open (1 for returns, 0 for prices)."""
-    offsets = np.arange(first_offset, SESSION_SECONDS)
-    n = len(timestamps) // len(offsets)
-    if n == 0 or n * len(offsets) != len(timestamps):
-        raise ValueError("incomplete session: expected a full 6.5-hour grid")
-    ts = np.reshape(timestamps, (n, -1))
-    si = np.reshape(session_index, (n, -1))
-    opens = ts[:, 0] - first_offset
-    grid_ok = np.all(ts == opens[:, None] + offsets)
-    if not grid_ok or np.any(si != si[:, :1]) or np.any(np.diff(si[:, 0]) <= 0):
-        raise ValueError("incomplete session: expected a full 6.5-hour grid")
-    return opens, si[:, 0]
+    return stamps, sums, ends
 
 
 def _window_edges(opens, window, rolling_weekly):
@@ -177,26 +163,17 @@ def _check_interval(window: int) -> float:
 # returns
 
 
-def log_returns(
-    panel: TickPanel, interval: int = 1, *, rolling_weekly: bool = False
-) -> ReturnsPanel:
-    """Log returns on the interval grid; daily = one session, weekly = 5 sessions."""
-    slices = panel.session_slices()
-    logp = np.log(panel.prices)
-    per_second = np.vstack([np.diff(logp[sl], axis=0) for sl in slices])
-    mask = np.ones(panel.n_rows, dtype=bool)
-    firsts = np.array([sl.start for sl in slices])
-    mask[firsts] = False
-    ts_r = panel.timestamps[mask]
-    si_r = panel.session_index[mask]
+def log_returns(panel: TickPanel, interval: int = 1) -> ReturnsPanel:
+    """One-second log returns inside each session of the panel; none spans two sessions.
 
-    if interval == 1:
-        return ReturnsPanel(ts_r, per_second, panel.asset_ids, 1, si_r)
-
-    stamps, sums, sess = window_sums(
-        per_second, ts_r, si_r, interval, rolling_weekly=rolling_weekly
-    )
-    return ReturnsPanel(stamps, sums, panel.asset_ids, interval, sess)
+    Only `interval` 1 is accepted; `window_sums` sums the returns over longer windows.
+    """
+    if interval != 1:
+        raise ValueError(f"log returns are one-second only (interval {interval}); "
+                         "sum longer windows with window_sums")
+    logp = np.log(panel.prices).reshape(len(panel.opens), -1, panel.n_assets)
+    per_second = np.diff(logp, axis=1).reshape(-1, panel.n_assets)
+    return ReturnsPanel(panel.opens, per_second, panel.asset_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +190,7 @@ def realized_variance_windows(
         col = returns.returns[:, 0]
     else:
         col = returns.column(asset_id)
-    stamps, sums, _ = window_sums(
-        col * col, returns.timestamps, returns.session_index, window, rolling_weekly=rolling_weekly
-    )
+    stamps, sums, _ = window_sums(col * col, returns.opens, window, rolling_weekly=rolling_weekly)
     return stamps, sums
 
 
@@ -246,11 +221,12 @@ def sample_price_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Prices at window right edges (the final print of each window) for one asset."""
     col = panel.prices[:, panel.asset_ids.index(asset_id)]
-    opens, _ = _full_sessions(panel.timestamps, panel.session_index, first_offset=0)
-    stamps, _ = _window_edges(opens, interval, rolling_weekly)
-    # price at or before each stamp
-    idx = np.searchsorted(panel.timestamps, stamps, side="right") - 1
-    return stamps, col[idx]
+    if len(col) != len(panel.opens) * SESSION_SECONDS:
+        raise ValueError("incomplete session: expected a full 6.5-hour grid")
+    stamps, ends = _window_edges(panel.opens, interval, rolling_weekly)
+    # the price at or before each edge: an edge at the close takes the session's last second
+    offsets = np.minimum(stamps - panel.opens[ends], SESSION_SECONDS - 1)
+    return stamps, col[ends * SESSION_SECONDS + offsets]
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Every arm runs on one OpenBLAS thread, in a worker and in process alike: work that BLAS
 splits over threads sums in another order (a 100-asset autoencoder's weights differ),
-and in a worker those threads would spin against the other workers' arms.
+and in a worker those threads would spin against the other workers' arms. Other work
+whose bytes must not depend on the thread count runs under `one_blas_thread` too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
@@ -57,6 +59,16 @@ def _set_blas_threads(counts) -> list[int]:
     return previous
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then give each its count back."""
+    previous = _set_blas_threads(itertools.repeat(1))
+    try:
+        yield
+    finally:
+        _set_blas_threads(previous)
+
+
 def _serve(fn, shared: tuple) -> None:
     """Pool initializer: a worker gets the arm function and the shared data once, not with
     every arm, and runs on one OpenBLAS thread for its life."""
@@ -80,8 +92,5 @@ def map_arms(fn, jobs: list, shared: tuple = (), workers: int | None = None) -> 
 
         with ProcessPoolExecutor(workers, initializer=_serve, initargs=(fn, shared)) as pool:
             return list(pool.map(_run, jobs))
-    previous = _set_blas_threads(itertools.repeat(1))
-    try:
+    with one_blas_thread():
         return [fn(job, *shared) for job in jobs]
-    finally:
-        _set_blas_threads(previous)

@@ -56,14 +56,10 @@ def verdict(capsys):
 
 
 def _session_grid(n_sessions: int):
-    """Timestamps and session indices for full 1-second return grids."""
-    stamps, sess = [], []
-    for day in range(n_sessions):
-        open_epoch = day * 86400 + 34200
-        # one return per second after the open: offsets 1..SESSION_SECONDS-1
-        stamps.append(open_epoch + np.arange(1, SESSION_SECONDS))
-        sess.append(np.full(SESSION_SECONDS - 1, day))
-    return np.concatenate(stamps), np.concatenate(sess)
+    """Session opens of full 1-second return grids, and their row count: one return per
+    second after each 09:30 open, at offsets 1..SESSION_SECONDS-1."""
+    opens = np.arange(n_sessions, dtype=np.int64) * 86400 + 34200
+    return opens, n_sessions * (SESSION_SECONDS - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +106,7 @@ def test_01_reconstruction_direction_autoencoder_beats_pca(verdict):
 def test_02_ratio_equals_one_minus_variance_share_in_sample(verdict):
     t0 = time.monotonic()
     rng = np.random.default_rng(7)
-    ts, sess = _session_grid(1)
-    n = len(ts)
+    opens, n = _session_grid(1)
     factors = rng.standard_normal((n, 2))
     loadings = rng.standard_normal((2, 5))
     x = factors @ loadings + 0.6 * rng.standard_normal((n, 5))
@@ -119,8 +114,8 @@ def test_02_ratio_equals_one_minus_variance_share_in_sample(verdict):
 
     model = fit_pca(x, 2)
     recon = ReconstructionResult(
-        timestamps=ts, actual=x, reconstructed=pca_reconstruct(model, x),
-        session_index=sess, asset_ids=("a", "b", "c", "d", "e"), source="pca",
+        opens=opens, actual=x, reconstructed=pca_reconstruct(model, x),
+        asset_ids=("a", "b", "c", "d", "e"), source="pca",
     )
     series = compute_arr(recon, ONE_DAY)
     assert len(series) == 1  # one session, one pooled window
@@ -422,12 +417,11 @@ def test_08_pipeline_runs_are_byte_identical(tmp_path, verdict):
 
 def test_09_window_reaggregation_and_rv_additivity(verdict):
     rng = np.random.default_rng(9)
-    ts, sess = _session_grid(2)
-    n = len(ts)
+    opens, n = _session_grid(2)
     x = rng.standard_normal((n, 3)) * 1e-4
     recon = ReconstructionResult(
-        timestamps=ts, actual=x, reconstructed=x * 0.4 + 1e-5,
-        session_index=sess, asset_ids=("a", "b", "c"), source="pca",
+        opens=opens, actual=x, reconstructed=x * 0.4 + 1e-5,
+        asset_ids=("a", "b", "c"), source="pca",
     )
     fives = compute_arr(recon, FIVE_MIN)
     per_session = SESSION_SECONDS // FIVE_MIN  # 78 five-minute windows a session
@@ -451,7 +445,7 @@ def test_09_window_reaggregation_and_rv_additivity(verdict):
             worst = max(worst, abs(series.values[w] - ratio))
             assert fives.timestamps[block.stop - 1] == series.timestamps[w]
 
-    panel = ReturnsPanel(ts, x, ("a", "b", "c"), 1, sess)
+    panel = ReturnsPanel(opens, x, ("a", "b", "c"))
     _, rv_five = realized_variance_windows(panel, FIVE_MIN, "a")
     additivity_exact = True
     for coarse in (ONE_HOUR, ONE_DAY):

@@ -20,24 +20,21 @@ OPEN_OFFSET = 34200
 PER_SESSION = SESSION_SECONDS - 1  # 1-second return rows per session
 
 
-def _grid(n_sessions):
-    offs = np.arange(1, SESSION_SECONDS, dtype=np.int64)
-    ts = np.concatenate([d * 86400 + OPEN_OFFSET + offs for d in range(n_sessions)])
-    si = np.repeat(np.arange(n_sessions, dtype=np.int64), PER_SESSION)
-    return ts, si
+def _opens(n_sessions):
+    return np.arange(n_sessions, dtype=np.int64) * 86400 + OPEN_OFFSET
 
 
 def _result(n_sessions=1, n_assets=2, seed=0, recon="noisy"):
-    ts, si = _grid(n_sessions)
     rng = np.random.default_rng(seed)
-    actual = rng.normal(size=(len(ts), n_assets)) * 1e-4
+    actual = rng.normal(size=(n_sessions * PER_SESSION, n_assets)) * 1e-4
     if recon == "noisy":
         reconstructed = actual + rng.normal(size=actual.shape) * 3e-5
     elif recon == "perfect":
         reconstructed = actual.copy()
     else:
         reconstructed = np.zeros_like(actual)
-    return ReconstructionResult(ts, actual, reconstructed, si, tuple(f"A{i}" for i in range(n_assets)), "pca")
+    ids = tuple(f"A{i}" for i in range(n_assets))
+    return ReconstructionResult(_opens(n_sessions), actual, reconstructed, ids, "pca")
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +58,16 @@ def test_series_validates_ratio_consistency():
 
 
 def test_reconstruction_result_validation():
-    ts, si = _grid(1)
-    good = np.zeros((len(ts), 2))
+    opens = _opens(1)
+    good = np.zeros((PER_SESSION, 2))
     with pytest.raises(ValueError, match="unknown source"):
-        ReconstructionResult(ts, good, good, si, ("a", "b"), "kmeans")
+        ReconstructionResult(opens, good, good, ("a", "b"), "kmeans")
     with pytest.raises(ValueError, match="shape mismatch"):
-        ReconstructionResult(ts, good, good[:, :1], si, ("a", "b"), "pca")
+        ReconstructionResult(opens, good, good[:, :1], ("a", "b"), "pca")
     with pytest.raises(ValueError, match="non-finite"):
-        ReconstructionResult(ts, good, np.full_like(good, np.nan), si, ("a", "b"), "pca")
+        ReconstructionResult(opens, good, np.full_like(good, np.nan), ("a", "b"), "pca")
+    with pytest.raises(ValueError, match="equal blocks"):
+        ReconstructionResult(_opens(2), good, good, ("a", "b"), "pca")
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +103,7 @@ def test_zero_denominator_windows_are_dropped():
     res = _result(seed=3)
     actual = np.array(res.actual, copy=True)
     actual[300:600] = 0.0  # second 5-min window: rows at offsets 301..600
-    silenced = ReconstructionResult(
-        res.timestamps, actual, res.reconstructed, res.session_index, res.asset_ids, "pca"
-    )
+    silenced = ReconstructionResult(res.opens, actual, res.reconstructed, res.asset_ids, "pca")
     series = compute_arr(silenced, FIVE_MIN)
     assert len(series) == 77
     assert OPEN_OFFSET + 2 * FIVE_MIN not in series.timestamps
@@ -147,14 +144,14 @@ def test_weekly_windows_rolling_and_non_overlapping():
 
 
 def test_pca_reconstruction_wraps_model_output():
-    ts, si = _grid(1)
     rng = np.random.default_rng(6)
-    r = rng.normal(size=(len(ts), 3)) * 1e-4
-    panel = ReturnsPanel(ts, r, ("a", "b", "c"), 1, si)
+    r = rng.normal(size=(PER_SESSION, 3)) * 1e-4
+    panel = ReturnsPanel(_opens(1), r, ("a", "b", "c"))
     model = fit_pca(r, n_components=1)
     res = pca_reconstruction(model, panel)
     assert res.source == "pca"
     np.testing.assert_array_equal(res.actual, r)
+    np.testing.assert_array_equal(res.opens, panel.opens)
     assert res.reconstructed.shape == r.shape
     small = fit_pca(r[:, :2], n_components=1)
     with pytest.raises(ValueError, match="asset count mismatch"):

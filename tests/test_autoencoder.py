@@ -110,29 +110,25 @@ def _toy_panels(n_assets=5, n_train=600, n_val=200, seed=0):
     factor = rng.normal(size=total) * 1e-4
     loadings = rng.uniform(0.5, 1.5, size=n_assets)
     r = factor[:, None] * loadings + rng.normal(size=(total, n_assets)) * 1e-6
-    ts = np.arange(total, dtype=np.int64) + 34201
     ids = tuple(f"A{i}" for i in range(n_assets))
-    si = np.zeros(total, dtype=np.int64)
-    tr = ReturnsPanel(ts[:n_train], r[:n_train], ids, 1, si[:n_train])
-    va = ReturnsPanel(ts[n_train:], r[n_train:], ids, 1, si[n_train:])
+    # one block each, the returns ending at seconds 34201.. of the first day
+    tr = ReturnsPanel(np.array([34200]), r[:n_train], ids)
+    va = ReturnsPanel(np.array([34200 + n_train]), r[n_train:], ids)
     return tr, va
 
 
 def test_training_validation_errors():
     tr, va = _toy_panels()
-    bad_interval = ReturnsPanel(tr.timestamps, tr.returns, tr.asset_ids, 300, tr.session_index)
-    with pytest.raises(ValueError, match="1-second"):
-        train_autoencoder(bad_interval, va, AeTrainConfig())
-    few = ReturnsPanel(tr.timestamps, tr.returns[:, :4], tr.asset_ids[:4], 1, tr.session_index)
-    few_val = ReturnsPanel(va.timestamps, va.returns[:, :4], va.asset_ids[:4], 1, va.session_index)
+    few = ReturnsPanel(tr.opens, tr.returns[:, :4], tr.asset_ids[:4])
+    few_val = ReturnsPanel(va.opens, va.returns[:, :4], va.asset_ids[:4])
     with pytest.raises(ValueError, match="at least 5 assets"):
         train_autoencoder(few, few_val, AeTrainConfig())
-    renamed = ReturnsPanel(va.timestamps, va.returns, ("x",) * 5, 1, va.session_index)
+    renamed = ReturnsPanel(va.opens, va.returns, ("x",) * 5)
     with pytest.raises(ValueError, match="universes differ"):
         train_autoencoder(tr, renamed, AeTrainConfig())
     flat = np.array(tr.returns, copy=True)
     flat[:, 2] = 0.0
-    constant = ReturnsPanel(tr.timestamps, flat, tr.asset_ids, 1, tr.session_index)
+    constant = ReturnsPanel(tr.opens, flat, tr.asset_ids)
     with pytest.raises(ValueError, match="constant training returns"):
         train_autoencoder(constant, va, AeTrainConfig())
 
@@ -189,14 +185,13 @@ def test_reconstruct_series_chunking_is_invisible():
         small = reconstruct_series(model, _toy_panel_like(va), chunk_size=chunk_size)
         np.testing.assert_array_equal(small.reconstructed, big.reconstructed)
     assert small.source == "autoencoder"
-    with pytest.raises(ValueError, match="1-second"):
-        reconstruct_series(model, ReturnsPanel(va.timestamps, va.returns, va.asset_ids, 300, va.session_index))
+    assert np.array_equal(small.opens, va.opens)
     with pytest.raises(ValueError, match="training universe"):
-        reconstruct_series(model, ReturnsPanel(va.timestamps, va.returns, ("z",) * 5, 1, va.session_index))
+        reconstruct_series(model, ReturnsPanel(va.opens, va.returns, ("z",) * 5))
 
 
 def _toy_panel_like(panel):
-    return ReturnsPanel(panel.timestamps, panel.returns, panel.asset_ids, 1, panel.session_index)
+    return ReturnsPanel(panel.opens, panel.returns, panel.asset_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +275,7 @@ def test_search_does_not_depend_on_the_worker_count():
         assert not other.best_model.mean.flags.writeable
 
     few, few_val = (
-        ReturnsPanel(p.timestamps, p.returns[:, :4], p.asset_ids[:4], 1, p.session_index)
+        ReturnsPanel(p.opens, p.returns[:, :4], p.asset_ids[:4])
         for p in (tr, va)
     )
     with pytest.raises(ValueError, match="need at least 5 assets"):
@@ -331,11 +326,9 @@ rng = np.random.default_rng(3)
 n_assets, n_train, n_val = 100, 4096, 1024
 r = rng.normal(size=(n_train + n_val, 1)) * 1e-4 * rng.uniform(0.5, 1.5, size=n_assets)
 r += rng.normal(size=r.shape) * 1e-6
-ts = np.arange(len(r), dtype=np.int64) + 34201
 ids = tuple(f"A{i}" for i in range(n_assets))
-si = np.zeros(len(r), dtype=np.int64)
-tr = ReturnsPanel(ts[:n_train], r[:n_train], ids, 1, si[:n_train])
-va = ReturnsPanel(ts[n_train:], r[n_train:], ids, 1, si[n_train:])
+tr = ReturnsPanel(np.array([34200]), r[:n_train], ids)
+va = ReturnsPanel(np.array([34200 + n_train]), r[n_train:], ids)
 grid = {"dropout_rate": (0.0,), "l1_weight": (0.0,), "batch_size": (1024,),
         "learning_rate": (0.1,), "clip_norm": (1e-4,)}
 result = random_search_ae(tr, va, grid=grid, iterations=1, seed=0, max_epochs=3)

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -174,7 +175,8 @@ def test_synthetic_run_reads_the_panel_file_not_a_csv(run, monkeypatch):
     expected = generate_synthetic_market(run["cfg"].synthetic)
     assert np.array_equal(panel.prices.view(np.uint64), expected.prices.view(np.uint64))
     assert np.array_equal(panel.timestamps, expected.timestamps)
-    assert np.array_equal(panel.session_index, expected.session_index)
+    assert np.array_equal(panel.opens, expected.opens)
+    assert np.array_equal(panel.opens, calendar.opens)
     assert panel.asset_ids == expected.asset_ids
     assert calendar.n_sessions == 16
 
@@ -275,6 +277,34 @@ def test_analyze_outputs(run):
 
 # ---------------------------------------------------------------------------
 # forecast
+
+
+def test_analyze_runs_its_kde_on_one_blas_thread(run, tmp_path, monkeypatch):
+    """Every KDE of the analyze stage runs with OpenBLAS on one thread, so its files do
+    not depend on the thread count (see test_stats); the count is given back after."""
+    from arrkit import search
+
+    if not search._openblas():
+        pytest.skip("no OpenBLAS thread-count setter found in this process")
+
+    def threads():
+        return [get() for get, _ in search._openblas()]
+
+    def kde2d(x, y):
+        during.append(threads())
+        return real(x, y)
+
+    out = tmp_path / "run"
+    for stage in ("data", "arr"):
+        shutil.copytree(os.path.join(run["out"], stage), out / stage)
+    during, real, before = [], arrkit.pipeline.kde2d, threads()
+    monkeypatch.setattr(arrkit.pipeline, "kde2d", kde2d)
+    arrkit.pipeline.cmd_analyze(run["cfg"], str(out))
+    assert during and during == [[1] * len(before)] * len(during)
+    assert threads() == before
+    for name in os.listdir(out / "analyze"):
+        if name != "manifest.json":
+            assert _md5(out / "analyze" / name) == _md5(os.path.join(run["out"], "analyze", name))
 
 
 def test_forecast_outputs(run):
@@ -390,6 +420,27 @@ def test_damaged_panel_file_is_reported(tmp_path):
     error = _error_payload(err)
     assert error["message"] == "cmd_generate outputs missing"
     assert error["details"]["missing"] == [str(path)]
+
+
+def test_panel_rows_that_do_not_match_the_calendar_are_reported(tmp_path):
+    cfg_path = _save(_tiny_config(str(tmp_path / "run")), str(tmp_path))
+    assert _run(["generate", "--config", cfg_path])[0] == 0
+    path = tmp_path / "run" / "data" / "panel.npz"
+    calendar = tmp_path / "run" / "data" / "calendar.json"
+    with np.load(path, allow_pickle=False) as data:
+        prices, asset_ids = data["prices"], data["asset_ids"]
+    # one row short, and one row short of each of the 3 sessions: the second still
+    # splits into 3 equal blocks, so only the calendar can tell it is wrong
+    for rows in (3 * 23400 - 1, 3 * 23399):
+        np.savez(path, prices=prices[:rows], asset_ids=asset_ids)
+        rc, out, err = _run(["train", "--config", cfg_path])
+        assert rc == 1 and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert _error_payload(err) == {
+            "type": "StageError",
+            "message": f"malformed {path}: prices of shape ({rows}, 6) for the 3 sessions "
+                       f"of {calendar}",
+        }
 
 
 def test_panel_from_another_synthetic_config_is_refused(tmp_path):
@@ -598,6 +649,25 @@ def _module_from_file(monkeypatch, *parts):
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def test_scripts_run_on_tiny_arguments(monkeypatch):
+    """Both study scripts build panels and reconstructions through the package API; each
+    runs to exit code 0, and the duality demo's gap stays at rounding level."""
+    demo = _module_from_file(monkeypatch, "scripts", "arr_duality_demo.py")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert demo.main(["--assets", "4", "--seed", "3"]) == 0
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(float(row.split()[-1]) < 1e-12 for row in rows)
+
+    study = _module_from_file(monkeypatch, "scripts", "reconstruction_experiment.py")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert study.main(["--assets", "5", "--sessions", "5", "--iterations", "1",
+                           "--max-epochs", "1"]) == 0
+    assert "paired bootstrap (autoencoder > pca)" in out.getvalue()
 
 
 def test_pinned_configs_keep_their_hashes(tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from arrkit.market_data import (
     generate_synthetic_market_details,
     intraday_profile,
     load_tick_csv,
-    session_slices,
     synthetic_calendar,
     weekday_dates,
     write_tick_csv,
@@ -63,47 +62,57 @@ def test_calendar_excludes_half_days():
 
 class TestTickPanelValidation:
     def _args(self):
-        ts = np.arange(100, dtype=np.int64)
+        opens = np.array([34200, 34300], dtype=np.int64)  # two 50-second blocks
         prices = np.full((100, 2), 50.0)
-        return ts, prices, ("A", "B"), np.zeros(100, dtype=np.int64)
+        return opens, prices, ("A", "B")
 
     def test_accepts_clean_panel(self):
         panel = TickPanel(*self._args())
         assert panel.n_assets == 2 and panel.n_rows == 100
-        assert not panel.prices.flags.writeable
+        assert not panel.prices.flags.writeable and not panel.opens.flags.writeable
+        expected = np.concatenate([34200 + np.arange(50), 34300 + np.arange(50)])
+        assert np.array_equal(panel.timestamps, expected)
+        abutting = TickPanel(np.array([34200, 34250]), panel.prices, panel.asset_ids)
+        assert np.array_equal(abutting.timestamps, 34200 + np.arange(100))
 
-    def test_rejects_gap_within_session(self):
-        ts, prices, ids, si = self._args()
-        ts = ts.copy()
-        ts[50:] += 5
-        with pytest.raises(ValueError, match="grid"):
-            TickPanel(ts, prices, ids, si)
+    def test_rejects_rows_that_do_not_split_into_the_blocks(self):
+        opens, prices, ids = self._args()
+        with pytest.raises(ValueError, match="do not split into 3 equal blocks"):
+            TickPanel(np.array([0, 100, 200]), prices, ids)
+        with pytest.raises(ValueError, match="do not split into 0 equal blocks"):
+            TickPanel(np.array([], dtype=np.int64), prices, ids)
+
+    @pytest.mark.parametrize("opens", [[34300, 34200], [34200, 34200], [34200, 34249]],
+                             ids=["decreasing", "repeated", "overlapping"])
+    def test_rejects_opens_out_of_order_or_overlapping(self, opens):
+        _, prices, ids = self._args()
+        with pytest.raises(ValueError, match="must not overlap"):
+            TickPanel(np.array(opens), prices, ids)
 
     def test_rejects_nonpositive_price(self):
-        ts, prices, ids, si = self._args()
+        opens, prices, ids = self._args()
         prices = prices.copy()
         prices[3, 1] = 0.0
         with pytest.raises(ValueError, match="price"):
-            TickPanel(ts, prices, ids, si)
+            TickPanel(opens, prices, ids)
 
     def test_rejects_shape_mismatch(self):
-        ts, prices, ids, si = self._args()
+        opens, prices, ids = self._args()
         with pytest.raises(ValueError):
-            TickPanel(ts, prices, ("A",), si)
+            TickPanel(opens, prices, ("A",))
 
 
-def test_session_slices_roundtrip():
-    si = np.array([0, 0, 1, 1, 1, 2], dtype=np.int64)
-    assert session_slices(si) == [slice(0, 2), slice(2, 5), slice(5, 6)]
-
-
-def test_generator_shape_and_grid(tiny_panel):
+def test_generator_shape_and_grid(tiny_panel, tiny_calendar):
     assert tiny_panel.n_assets == 5
     assert tiny_panel.n_rows == 2 * SESSION_SECONDS
     # per-second grid within each session, 09:30 open
     assert (tiny_panel.timestamps[0] - SESSION_OPEN_OFFSET) % 86400 == 0
     offsets = tiny_panel.timestamps - tiny_panel.timestamps[0]
     assert offsets[SESSION_SECONDS - 1] == SESSION_SECONDS - 1
+    # one block per calendar session: the stamps are the calendar's per-second grid
+    assert np.array_equal(tiny_panel.opens, tiny_calendar.opens)
+    per_second = tiny_calendar.opens[:, None] + np.arange(SESSION_SECONDS)
+    assert np.array_equal(tiny_panel.timestamps, per_second.ravel())
 
 
 def test_generator_no_overnight_move(tiny_panel):
@@ -172,7 +181,7 @@ def test_csv_roundtrip_bit_exact(tmp_path, tiny_panel):
     assert np.array_equal(loaded.timestamps, tiny_panel.timestamps)
     assert np.array_equal(loaded.prices, tiny_panel.prices)
     assert loaded.asset_ids == tiny_panel.asset_ids
-    assert np.array_equal(loaded.session_index, tiny_panel.session_index)
+    assert np.array_equal(loaded.opens, tiny_panel.opens)
 
 
 def test_csv_long_format(tmp_path, tiny_panel):
@@ -313,7 +322,8 @@ def test_csv_loader_matches_plain_oracle(
     panel = load_tick_csv(path, calendar)
     assert panel.asset_ids == expected_ids
     assert np.array_equal(panel.prices.view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(panel.timestamps, calendar.grid()[0])
+    per_second = calendar.opens[:, None] + np.arange(SESSION_SECONDS)
+    assert np.array_equal(panel.timestamps, per_second.ravel())
 
 
 def test_config_validation_errors():

@@ -40,32 +40,43 @@ def test_log_returns_hand_oracle(tiny_panel):
     assert r.returns[0, 0] == pytest.approx(logp[1, 0] - logp[0, 0], abs=0)
     # one return per second except the session's first
     assert len(r.timestamps) == 2 * (SESSION_SECONDS - 1)
-    assert r.interval == 1
+    assert np.array_equal(r.opens, tiny_panel.opens)
+    # bitwise the per-session differences of the log prices
+    per_session = np.vstack([np.diff(logp[s * SESSION_SECONDS : (s + 1) * SESSION_SECONDS], axis=0)
+                             for s in range(2)])
+    assert np.array_equal(r.returns.view(np.uint64), per_session.view(np.uint64))
 
 
 def test_log_returns_skip_session_boundary(tiny_panel):
     r = log_returns(tiny_panel, 1)
-    # no return is computed across the overnight gap
-    per_session = np.bincount(r.session_index)
-    assert list(per_session) == [SESSION_SECONDS - 1, SESSION_SECONDS - 1]
+    # no return is computed across the overnight gap: each session's returns end at
+    # offsets 1..SESSION_SECONDS-1 from its own open
+    offsets = r.timestamps.reshape(2, -1) - tiny_panel.opens[:, None]
+    assert np.array_equal(offsets, np.tile(np.arange(1, SESSION_SECONDS), (2, 1)))
+    logp = np.log(tiny_panel.prices)
+    first = SESSION_SECONDS - 1  # the first return row of session 1
+    assert r.returns[first, 0] == logp[SESSION_SECONDS + 1, 0] - logp[SESSION_SECONDS, 0]
 
 
 def test_log_returns_window_is_price_ratio(tiny_panel):
-    hourly = log_returns(tiny_panel, ONE_HOUR)
+    r = log_returns(tiny_panel, 1)
+    _, hourly, _ = window_sums(r.returns, r.opens, ONE_HOUR)
     stamps, prices = sample_price_series(tiny_panel, ONE_HOUR, tiny_panel.asset_ids[0])
     open_price = tiny_panel.prices[0, 0]
     expected = np.log(prices[0] / open_price)
-    assert hourly.returns[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert hourly[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_misaligned_interval_rejected(tiny_panel):
+def test_misaligned_interval_rejected(tiny_panel, tiny_returns):
     with pytest.raises(ValueError, match="misaligned"):
-        log_returns(tiny_panel, 7)
+        window_sums(tiny_returns.returns, tiny_returns.opens, 7)
+    with pytest.raises(ValueError, match="one-second only"):
+        log_returns(tiny_panel, FIVE_MIN)  # windows are summed by window_sums
 
 
-def test_weekly_needs_five_sessions(tiny_panel):
+def test_weekly_needs_five_sessions(tiny_returns):
     with pytest.raises(ValueError, match="5 sessions"):
-        log_returns(tiny_panel, ONE_WEEK)
+        window_sums(tiny_returns.returns, tiny_returns.opens, ONE_WEEK)
 
 
 # ---------------------------------------------------------------------------
@@ -77,31 +88,29 @@ def second_grid():
     """Random per-second values on a 6-session grid (offsets 1..23399 per session)."""
     rng = np.random.default_rng(7)
     n_sessions = 6
-    per = SESSION_SECONDS - 1
-    offsets = np.tile(np.arange(1, SESSION_SECONDS, dtype=np.int64), n_sessions)
-    day = np.repeat(np.arange(n_sessions, dtype=np.int64), per)
-    ts = day * 86400 + offsets + 34200
-    values = rng.standard_normal(n_sessions * per)
-    return ts, values, day
+    opens = np.arange(n_sessions, dtype=np.int64) * 86400 + 34200
+    values = rng.standard_normal(n_sessions * (SESSION_SECONDS - 1))
+    return opens, values
 
 
 def test_five_minute_window_layout(second_grid):
-    ts, values, day = second_grid
-    stamps, sums, sess = window_sums(values, ts, day, 300)
+    opens, values = second_grid
+    stamps, sums, sess = window_sums(values, opens, 300)
     assert len(stamps) == 6 * 78  # 78 five-minute windows per session
     # window right edges sit on the 300s grid from the open
     assert np.all((stamps - 34200) % 300 == 0)
+    assert np.array_equal(sess, np.repeat(np.arange(6), 78))
     # first window of session 0 sums offsets 1..300; the last sums 299 values
     assert sums[0] == np.sum(values[:300])
     assert sums[77] == np.sum(values[77 * 300 : 78 * 300 - 1])
 
 
 def test_hourly_daily_weekly_bitwise_reaggregation(second_grid):
-    ts, values, day = second_grid
-    _, fives, _ = window_sums(values, ts, day, 300)
-    _, hours, _ = window_sums(values, ts, day, ONE_HOUR)
-    _, days, _ = window_sums(values, ts, day, ONE_DAY)
-    _, weeks, _ = window_sums(values, ts, day, ONE_WEEK)
+    opens, values = second_grid
+    _, fives, _ = window_sums(values, opens, 300)
+    _, hours, _ = window_sums(values, opens, ONE_HOUR)
+    _, days, _ = window_sums(values, opens, ONE_DAY)
+    _, weeks, _ = window_sums(values, opens, ONE_WEEK)
     per_day = fives.reshape(6, 78)
     # hourly windows are the first 6x12 five-minute buckets of each session, then a
     # half-hour stub that belongs to no hourly window
@@ -115,9 +124,9 @@ def test_hourly_daily_weekly_bitwise_reaggregation(second_grid):
 
 
 def test_rolling_weekly_windows(second_grid):
-    ts, values, day = second_grid
-    _, fives, _ = window_sums(values, ts, day, 300)
-    stamps, rolled, sess = window_sums(values, ts, day, ONE_WEEK, rolling_weekly=True)
+    opens, values = second_grid
+    _, fives, _ = window_sums(values, opens, 300)
+    stamps, rolled, sess = window_sums(values, opens, ONE_WEEK, rolling_weekly=True)
     assert len(stamps) == 2  # sessions 4 and 5 complete a trailing week
     assert rolled[0] == np.sum(fives[: 5 * 78])
     assert rolled[1] == np.sum(fives[78 : 6 * 78])
@@ -125,18 +134,17 @@ def test_rolling_weekly_windows(second_grid):
 
 
 def test_window_sums_incomplete_session():
-    ts = np.arange(1, 100, dtype=np.int64) + 34200
     with pytest.raises(ValueError, match="incomplete session"):
-        window_sums(np.ones(99), ts, np.zeros(99, dtype=np.int64), ONE_HOUR)
+        window_sums(np.ones(99), np.array([34200]), ONE_HOUR)
 
 
-def test_window_sums_rejects_other_windows_and_coarse_grids(second_grid, tiny_panel):
-    ts, values, day = second_grid
+def test_window_sums_rejects_other_windows_and_coarse_grids(second_grid, tiny_returns):
+    opens, values = second_grid
     with pytest.raises(ValueError, match="misaligned"):
-        window_sums(values, ts, day, 900)  # divides the session, but is not a supported window
-    fives = log_returns(tiny_panel, FIVE_MIN)
+        window_sums(values, opens, 900)  # divides the session, but is not a supported window
+    _, fives, _ = window_sums(tiny_returns.returns, tiny_returns.opens, FIVE_MIN)
     with pytest.raises(ValueError, match="incomplete session"):
-        window_sums(fives.returns, fives.timestamps, fives.session_index, ONE_HOUR)
+        window_sums(fives, tiny_returns.opens, ONE_HOUR)
 
 
 @pytest.fixture(scope="module")
@@ -175,11 +183,14 @@ def _window_oracle(panel, window, rolling_weekly):
     [(FIVE_MIN, False), (ONE_HOUR, False), (ONE_DAY, False), (ONE_WEEK, False), (ONE_WEEK, True)],
 )
 def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, rolling):
-    got = log_returns(week_panel, window, rolling_weekly=rolling)
+    per_second = log_returns(week_panel, 1)
+    got_stamps, got, _ = window_sums(
+        per_second.returns, per_second.opens, window, rolling_weekly=rolling
+    )
     stamps, sums = _window_oracle(week_panel, window, rolling)
-    assert np.array_equal(got.timestamps, stamps)
-    assert got.returns.shape == sums.shape == (len(stamps), 3)
-    assert np.array_equal(got.returns.view(np.uint64), sums.view(np.uint64))
+    assert np.array_equal(got_stamps, stamps)
+    assert got.shape == sums.shape == (len(stamps), 3)
+    assert np.array_equal(got.view(np.uint64), sums.view(np.uint64))
 
 
 # every supported window that partitions the session; the 1-hour grid is excluded on
@@ -188,18 +199,15 @@ def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, roll
 @given(window=st.sampled_from([300, ONE_DAY]))
 def test_window_partition_additivity(window):
     rng = np.random.default_rng(99)
-    per = SESSION_SECONDS - 1
-    ts = np.arange(1, SESSION_SECONDS, dtype=np.int64) + 34200
-    day = np.zeros(per, dtype=np.int64)
-    values = rng.standard_normal(per)
-    _, sums, _ = window_sums(values, ts, day, window)
+    values = rng.standard_normal(SESSION_SECONDS - 1)
+    _, sums, _ = window_sums(values, np.array([34200]), window)
     assert len(sums) == SESSION_SECONDS // window
     assert np.isclose(np.sum(sums), np.sum(values), rtol=1e-12)
 
 
 def test_hourly_windows_exclude_half_hour_stub(second_grid):
-    ts, values, day = second_grid
-    stamps, sums, _ = window_sums(values, ts, day, ONE_HOUR)
+    opens, values = second_grid
+    stamps, sums, _ = window_sums(values, opens, ONE_HOUR)
     assert len(sums) == 6 * 6  # six complete hours per session
     # the last hourly edge sits 30 minutes before the close
     assert (stamps[5] - 34200) % 86400 == 6 * ONE_HOUR
@@ -225,11 +233,9 @@ def test_rv_additivity_bitwise(tiny_returns):
 
 
 def test_log_rv_drops_zero_windows():
-    ts = np.arange(1, SESSION_SECONDS, dtype=np.int64) + 34200
-    day = np.zeros(SESSION_SECONDS - 1, dtype=np.int64)
     values = np.zeros((SESSION_SECONDS - 1, 1))
     values[500, 0] = 0.01  # only the second five-minute window moves
-    panel = ReturnsPanel(ts, values, ("Z",), 1, day)
+    panel = ReturnsPanel(np.array([34200]), values, ("Z",))
     series = realized_variance(panel, 300, "Z")
     assert len(series.values) == 1
     assert series.values[0] == pytest.approx(np.log(0.01**2), rel=1e-12)
@@ -366,5 +372,12 @@ def test_risk_series_kind_validation():
 
 def test_returns_panel_select_sessions(tiny_returns):
     sub = tiny_returns.select_sessions(1, 2)
-    assert sub.session_index.max() == 0
+    assert np.array_equal(sub.opens, tiny_returns.opens[1:])
     assert len(sub.timestamps) == SESSION_SECONDS - 1
+    assert np.array_equal(sub.timestamps, tiny_returns.timestamps[SESSION_SECONDS - 1 :])
+    # a row slice: a view of the panel's returns, not a copy
+    assert np.shares_memory(sub.returns, tiny_returns.returns)
+    assert np.array_equal(sub.returns, tiny_returns.returns[SESSION_SECONDS - 1 :])
+    assert tiny_returns.select_sessions(0, 9).returns.shape == tiny_returns.returns.shape
+    with pytest.raises(ValueError, match="no rows in session range"):
+        tiny_returns.select_sessions(2, 4)

@@ -21,12 +21,10 @@ def _panels(seed=0, n=400):
     rng = np.random.default_rng(seed)
     factor = rng.normal(size=n) * 1e-4
     r = factor[:, None] * rng.uniform(0.5, 1.5, size=5) + rng.normal(size=(n, 5)) * 1e-6
-    ts = np.arange(n, dtype=np.int64) + 34201
     ids = tuple(f"A{i}" for i in range(5))
-    si = np.zeros(n, dtype=np.int64)
     return (
-        ReturnsPanel(ts[:300], r[:300], ids, 1, si[:300]),
-        ReturnsPanel(ts[300:], r[300:], ids, 1, si[300:]),
+        ReturnsPanel(np.array([34200]), r[:300], ids),
+        ReturnsPanel(np.array([34500]), r[300:], ids),
     )
 
 

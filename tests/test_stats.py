@@ -1,5 +1,9 @@
 """Evaluation statistics vs independent oracles: R^2, AUROC, Spearman, bootstrap, KDE."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -310,6 +314,39 @@ def test_p_string_mid_range_formatting():
 
 # ---------------------------------------------------------------------------
 # kernel density
+
+
+_KDE_BYTES = """
+import hashlib
+import numpy as np
+from arrkit.search import one_blas_thread
+from arrkit.stats import kde2d
+
+rng = np.random.default_rng(5)
+x, y = rng.standard_normal(936), rng.standard_normal(936) * 0.3 + 1.0
+with one_blas_thread():  # as the analyze stage runs it
+    grid = kde2d(x, y)
+print(hashlib.sha256(grid.density.tobytes()).hexdigest())
+"""
+
+
+def test_kde_does_not_depend_on_the_blas_thread_count():
+    """kde2d on 936 points, run as the analyze stage runs it, gives the same density bytes
+    under OPENBLAS_NUM_THREADS=1 and =2; left to two threads, its gemm sums in another
+    order."""
+    from arrkit.search import _openblas
+
+    if not _openblas():
+        pytest.skip("no OpenBLAS thread-count setter found in this process")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _KDE_BYTES], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_kde_mass_is_nearly_one():
