@@ -73,21 +73,18 @@ class AutoencoderModel:
     def n_assets(self) -> int:
         return len(self.asset_ids)
 
-    def normalize(self, returns: np.ndarray) -> np.ndarray:
-        return (returns - self.mean) / self.std
-
     def denormalize(self, normalized: np.ndarray) -> np.ndarray:
         return normalized * self.std + self.mean
 
     def features(self, returns: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
         """Normalized returns with the time-of-day feature appended."""
-        r = np.asarray(returns, dtype=np.float64)
-        if r.ndim == 1:
-            r = r[None, :]
+        r = np.atleast_2d(np.asarray(returns, dtype=np.float64))
         if r.shape[1] != self.n_assets:
             raise ValueError("asset dimension mismatch")
-        tod = np.atleast_1d(time_of_day(timestamps))
-        return np.hstack([self.normalize(r), tod[:, None]])
+        x = np.empty((len(r), self.n_assets + 1))
+        np.divide(np.subtract(r, self.mean, out=x[:, :-1]), self.std, out=x[:, :-1])
+        x[:, -1] = time_of_day(timestamps)
+        return x
 
 
 def _normalization(train: ReturnsPanel, val: ReturnsPanel) -> tuple[np.ndarray, np.ndarray]:

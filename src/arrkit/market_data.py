@@ -280,53 +280,32 @@ def generate_synthetic_market_details(
     n_gen = config.n_assets - (1 if config.market_composite else 0)
     k = config.n_factors
     s_count = config.n_sessions
-    t_total = s_count * SESSION_SECONDS
 
-    root = np.random.SeedSequence(config.seed)
-    seq_loadings, seq_share, seq_factors, seq_assets = root.spawn(4)
+    seq_loadings, seq_share, seq_factors, seq_assets = np.random.SeedSequence(config.seed).spawn(4)
     rng_loadings = np.random.default_rng(seq_loadings)
 
     loadings_lin = np.empty((n_gen, k))
     loadings_lin[:, 0] = rng_loadings.uniform(0.5, 1.5, size=n_gen)  # common market factor
-    if k > 1:
-        loadings_lin[:, 1:] = rng_loadings.uniform(-1.0, 1.0, size=(n_gen, k - 1))
+    loadings_lin[:, 1:] = rng_loadings.uniform(-1.0, 1.0, size=(n_gen, k - 1))
     loadings_cub = rng_loadings.uniform(-1.0, 1.0, size=(n_gen, k))
-
-    factors = np.empty((t_total, k))
-    for j, seq in enumerate(seq_factors.spawn(k)):
-        factors[:, j] = np.random.default_rng(seq).standard_normal(t_total)
-    idio = np.empty((t_total, n_gen))
-    for j, seq in enumerate(seq_assets.spawn(n_gen)):
-        idio[:, j] = np.random.default_rng(seq).standard_normal(t_total)
-
     c = config.nonlinearity
-    signal = factors @ loadings_lin.T
-    if c != 0.0:
-        signal += (factors ** 3) @ (c * loadings_cub.T)
+    cubic = c * loadings_cub.T
+    profile = config.base_vol * intraday_profile(np.arange(SESSION_SECONDS), config.intraday_amplitude)
 
-    profile = intraday_profile(np.arange(SESSION_SECONDS), config.intraday_amplitude)
-    profile = np.tile(profile, s_count)
-
-    share_path = None
-    window_vol = None
+    share_path = window_vol = None
     if config.comovement is None:
-        scale = np.empty(s_count)
-        xi = np.empty(s_count)
+        scale, xi = np.empty((2, s_count))
         for reg in config.regime_schedule:
             scale[reg.start : reg.stop] = reg.factor_loading_scale
             xi[reg.start : reg.stop] = reg.idiosyncratic_vol
-        scale_sec = np.repeat(scale, SESSION_SECONDS)
-        xi_sec = np.repeat(xi, SESSION_SECONDS)
-        returns = scale_sec[:, None] * signal + xi_sec[:, None] * idio
     else:
         cm = config.comovement
         w_len = cm.window_seconds
-        n_windows = t_total // w_len
+        n_windows = s_count * SESSION_SECONDS // w_len
         # AR(1) in logit space, started from its stationary distribution
         phi = 0.5 ** (1.0 / cm.half_life_windows)
         mu = math.log(cm.mean_share / (1.0 - cm.mean_share))
-        rng_share = np.random.default_rng(seq_share)
-        eta = rng_share.standard_normal(n_windows)
+        eta = np.random.default_rng(seq_share).standard_normal(n_windows)
         x = np.empty(n_windows)
         stationary_sd = cm.share_innovation / math.sqrt(1.0 - phi * phi) if phi < 1 else cm.share_innovation
         x[0] = mu + stationary_sd * eta[0]
@@ -338,31 +317,42 @@ def generate_synthetic_market_details(
         # normalize the common signal to unit variance per asset (exact Gaussian moments:
         # Var(a z + b z^3) = a^2 + 6ab + 15b^2 per factor), so the share controls the
         # co-movement mix without moving total variance
-        a = loadings_lin
-        b = c * loadings_cub
+        a, b = loadings_lin, c * loadings_cub
         var_n = np.sum(a * a + 6.0 * a * b + 15.0 * b * b, axis=1)
         if np.any(var_n <= 0):
             raise ValueError("degenerate loadings: zero common-signal variance")
-        signal_hat = signal / np.sqrt(var_n)
-        s_sec = np.repeat(share_path, w_len)
-        vol_sec = np.repeat(window_vol, w_len)
-        returns = vol_sec[:, None] * (
-            np.sqrt(s_sec)[:, None] * signal_hat + np.sqrt(1.0 - s_sec)[:, None] * idio
-        )
+        signal_sd = np.sqrt(var_n)
 
-    returns *= config.base_vol * profile[:, None]
-    if config.market_composite:
-        market = returns.mean(axis=1, keepdims=True)
-        returns = np.hstack([market, returns])
-
-    # no overnight move: the first second of each session carries no return
-    returns.reshape(s_count, SESSION_SECONDS, -1)[:, 0] = 0.0
-    prices = 100.0 * np.exp(np.cumsum(returns, axis=0))
+    # one session at a time: each factor and asset keeps one stream across sessions, so
+    # the draws are those of one whole-panel call, and cumsum adds in sequence, so a
+    # session that starts from the last log price carries the whole-panel sum bit for bit
+    factor_rngs = [np.random.default_rng(seq) for seq in seq_factors.spawn(k)]
+    asset_rngs = [np.random.default_rng(seq) for seq in seq_assets.spawn(n_gen)]
+    prices = np.empty((s_count * SESSION_SECONDS, config.n_assets))
+    log_price = np.zeros(config.n_assets)
+    for s, rows in enumerate(prices.reshape(s_count, SESSION_SECONDS, -1)):
+        factors = np.stack([rng.standard_normal(SESSION_SECONDS) for rng in factor_rngs], axis=1)
+        idio = np.stack([rng.standard_normal(SESSION_SECONDS) for rng in asset_rngs], axis=1)
+        signal = factors @ loadings_lin.T
+        if c != 0.0:
+            signal += (factors ** 3) @ cubic
+        if config.comovement is None:
+            returns = scale[s] * signal + xi[s] * idio
+        else:
+            s_sec = np.repeat(share_path.reshape(s_count, -1)[s], w_len)[:, None]
+            vol_sec = np.repeat(window_vol.reshape(s_count, -1)[s], w_len)[:, None]
+            returns = vol_sec * (np.sqrt(s_sec) * (signal / signal_sd) + np.sqrt(1.0 - s_sec) * idio)
+        returns *= profile[:, None]
+        if config.market_composite:
+            returns = np.hstack([returns.mean(axis=1, keepdims=True), returns])
+        # no overnight move: a session's first second carries no return, so it holds the last log price
+        returns[0] = log_price
+        log_price = np.cumsum(returns, axis=0, out=returns)[-1].copy()
+        np.multiply(100.0, np.exp(returns, out=returns), out=rows)
 
     ids = default_asset_ids(config.n_assets, config.market_composite)
     panel = TickPanel(synthetic_calendar(config).opens, prices, ids)
-    details = SyntheticDetails(loadings_lin, loadings_cub, share_path, window_vol)
-    return panel, details
+    return panel, SyntheticDetails(loadings_lin, loadings_cub, share_path, window_vol)
 
 
 def synthetic_calendar(config: SyntheticMarketConfig) -> SessionCalendar:

@@ -140,6 +140,20 @@ class Workspace:
         self.d = [np.empty_like(z) for z in self.z] if train else None
 
 
+def _output_workspace(net: DenseNet, rows: int) -> Workspace:
+    """Inference buffers for a pass that reads only the output layer: the hidden layers' z and
+    activations take turns in two shared (max width, rows) buffers, each made from the other."""
+    work, turn = Workspace(net, 0, train=False), 0
+    hidden = np.empty((2, max(net.dims[1:-1], default=0), rows))
+    for i, (width, act) in enumerate(zip(net.dims[1:-1], net.activations)):
+        work.z[i] = hidden[turn % 2, :width]
+        work.a[i] = work.z[i] if act == "identity" else hidden[(turn + 1) % 2, :width]
+        turn += 1 if act == "identity" else 2
+    work.z[-1] = np.empty((net.dims[-1], rows))
+    work.a[-1] = work.z[-1] if net.activations[-1] == "identity" else np.empty_like(work.z[-1])
+    return work
+
+
 def _feature_major(x, input_mask=None):
     """x (rows, width) or one row, and its input mask, as (width, rows) arrays; an x whose
     transpose is C-contiguous is not copied."""
@@ -327,12 +341,12 @@ def train_dense_net(
     x_rows = np.ascontiguousarray(x_train, dtype=np.float64)  # rows gather fast, then transpose
     y_rows = None if y_train is None else np.ascontiguousarray(y_train, dtype=np.float64)
     xv_t, _ = _feature_major(x_val)
-    yv = xv_t[:d_out].T if y_val is None else y_val
+    yv_t = xv_t[:d_out] if y_val is None else np.asarray(y_val, dtype=np.float64).reshape(xv_t.shape[1], -1).T
     theta, live = param_views(net, flatten(params))
     g, grads = param_views(net)
     m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     works = {}  # rows -> Workspace: the full batch and the ragged last one
-    val_work = Workspace(net, xv_t.shape[1], train=False)
+    val_work = _output_workspace(net, xv_t.shape[1])
     best_fit = math.inf
     best = theta.copy()
     bad_epochs = 0
@@ -356,7 +370,11 @@ def train_dense_net(
             adam_step(theta, g, m, v, t, cfg.learning_rate)
             epoch_losses.append(loss)
         _, z_val, out_val = _forward_t(net, live, xv_t, None, val_work)[-1]
-        val_fit = fit_term(spec, out_val.T, yv, z_out=z_val.T)
+        if spec.kind == "mse":  # fit_term's MSE, in the output buffer
+            np.subtract(out_val, yv_t, out=out_val)
+            val_fit = float(np.sum(np.multiply(out_val, out_val, out=out_val)) / out_val.size)
+        else:
+            val_fit = fit_term(spec, out_val.T, yv_t.T, z_out=z_val.T)
         if not math.isfinite(val_fit):
             raise TrainingDiverged(epoch, -1)
         history.append(

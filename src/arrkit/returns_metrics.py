@@ -171,9 +171,11 @@ def log_returns(panel: TickPanel, interval: int = 1) -> ReturnsPanel:
     if interval != 1:
         raise ValueError(f"log returns are one-second only (interval {interval}); "
                          "sum longer windows with window_sums")
-    logp = np.log(panel.prices).reshape(len(panel.opens), -1, panel.n_assets)
-    per_second = np.diff(logp, axis=1).reshape(-1, panel.n_assets)
-    return ReturnsPanel(panel.opens, per_second, panel.asset_ids)
+    prices = panel.prices.reshape(len(panel.opens), -1, panel.n_assets)
+    per_second = np.empty((len(prices), prices.shape[1] - 1, panel.n_assets))
+    for session, out in zip(prices, per_second):  # one session's log prices at a time
+        out[...] = np.diff(np.log(session), axis=0)
+    return ReturnsPanel(panel.opens, per_second.reshape(-1, panel.n_assets), panel.asset_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,11 @@ def paired_bootstrap(
     n = len(y)
     if metric == "r2":
         yf, af, bf = (np.asarray(v, dtype=np.float64).reshape(n, -1) for v in (y, a, b))
-        c = yf - yf.mean()
-        row_sums = np.stack([((yf - af) ** 2).sum(1), ((yf - bf) ** 2).sum(1), c.sum(1), (c * c).sum(1)])
+        row_sums, work = np.empty((4, n)), np.empty_like(yf)  # one row-by-width buffer for every sum
+        for i, pred in enumerate((af, bf)):  # the squared errors, then the centred target and its square
+            np.square(np.subtract(yf, pred, out=work), out=work).sum(1, out=row_sums[i])
+        np.subtract(yf, yf.mean(), out=work).sum(1, out=row_sums[2])
+        np.square(work, out=work).sum(1, out=row_sums[3])
     samples = np.empty(n_resamples)
     draws = 0
     max_draws = 20 * n_resamples
@@ -140,7 +143,7 @@ def paired_bootstrap(
         diff = None
         if metric == "r2":
             ss_a, ss_b, s_c, s_c2 = row_sums @ np.bincount(idx, minlength=n).astype(np.float64)
-            ss_tot = s_c2 - s_c * s_c / c.size
+            ss_tot = s_c2 - s_c * s_c / yf.size
             diff = float((ss_b - ss_a) / ss_tot) if ss_tot > 1e-9 * s_c2 else None
         if diff is None:
             try:

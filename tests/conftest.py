@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,14 @@ def tiny_calendar():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(fn):
+    """fn()'s result and the most bytes tracemalloc saw allocated at once while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -72,7 +72,14 @@ def _blank_model(n_assets=5, seed=0):
 def test_normalize_round_trip():
     model = _blank_model()
     r = np.random.default_rng(1).normal(size=(7, 5)) * 1e-4
-    np.testing.assert_allclose(model.denormalize(model.normalize(r)), r, rtol=1e-12, atol=1e-20)
+    x = model.features(r, np.arange(34200, 34207))
+    np.testing.assert_allclose(model.denormalize(x[:, :5]), r, rtol=1e-12, atol=1e-20)
+
+
+def _features_oracle(model, r, ts):
+    """The feature matrix as two arrays joined: the normalized returns, then time of day."""
+    r = np.atleast_2d(r)
+    return np.hstack([(r - model.mean) / model.std, np.atleast_1d(time_of_day(ts))[:, None]])
 
 
 def test_features_layout():
@@ -81,8 +88,10 @@ def test_features_layout():
     ts = np.array([34200, 34201, 34202, 34203])
     x = model.features(r, ts)
     assert x.shape == (4, 6)
-    np.testing.assert_array_equal(x[:, :5], model.normalize(r))
+    assert x.tobytes() == _features_oracle(model, r, ts).tobytes()
     np.testing.assert_array_equal(x[:, 5], time_of_day(ts))
+    one = model.features(r[1], ts[1])  # one row, one stamp
+    assert one.shape == (1, 6) and one.tobytes() == x[1:2].tobytes()
     with pytest.raises(ValueError, match="asset dimension"):
         model.features(np.ones((2, 4)), ts[:2])
 
@@ -146,7 +155,7 @@ def test_training_best_epoch_loss_is_reproducible():
     model, history = train_autoencoder(tr, va, cfg, seed=3)
     x_val = model.features(va.returns, va.timestamps)
     out, _ = forward(model.net, model.params, x_val)
-    y_val = model.normalize(va.returns)
+    y_val = (va.returns - model.mean) / model.std
     mse = float(np.sum((out - y_val) ** 2) / (out.shape[0] * out.shape[1]))
     assert mse == min(h["val_fit"] for h in history)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from arrkit.market_data import (
     ONE_WEEK,
     SESSION_OPEN_OFFSET,
     SESSION_SECONDS,
+    CoMovementSpec,
     RegimeSpec,
+    SyntheticDetails,
     TickPanel,
     build_session_calendar,
     default_asset_ids,
@@ -23,7 +27,7 @@ from arrkit.market_data import (
     write_tick_csv,
 )
 
-from conftest import comovement_config, small_config
+from conftest import comovement_config, small_config, traced_peak
 
 
 def test_grid_constants():
@@ -161,6 +165,111 @@ def test_comovement_details_paths():
     assert np.all((details.share_path > 0) & (details.share_path < 1))
     assert details.window_vol.shape == (n_windows,)
     assert np.all(details.window_vol > 0)
+
+
+def _whole_panel_generator(config):
+    """The generator as it was before it built the panel one session at a time: every
+    draw, signal and return of the panel held at once."""
+    config.validate()
+    n_gen = config.n_assets - (1 if config.market_composite else 0)
+    k = config.n_factors
+    s_count = config.n_sessions
+    t_total = s_count * SESSION_SECONDS
+    seq_loadings, seq_share, seq_factors, seq_assets = np.random.SeedSequence(config.seed).spawn(4)
+    rng_loadings = np.random.default_rng(seq_loadings)
+    loadings_lin = np.empty((n_gen, k))
+    loadings_lin[:, 0] = rng_loadings.uniform(0.5, 1.5, size=n_gen)
+    if k > 1:
+        loadings_lin[:, 1:] = rng_loadings.uniform(-1.0, 1.0, size=(n_gen, k - 1))
+    loadings_cub = rng_loadings.uniform(-1.0, 1.0, size=(n_gen, k))
+    factors = np.empty((t_total, k))
+    for j, seq in enumerate(seq_factors.spawn(k)):
+        factors[:, j] = np.random.default_rng(seq).standard_normal(t_total)
+    idio = np.empty((t_total, n_gen))
+    for j, seq in enumerate(seq_assets.spawn(n_gen)):
+        idio[:, j] = np.random.default_rng(seq).standard_normal(t_total)
+    c = config.nonlinearity
+    signal = factors @ loadings_lin.T
+    if c != 0.0:
+        signal += (factors ** 3) @ (c * loadings_cub.T)
+    profile = np.tile(intraday_profile(np.arange(SESSION_SECONDS), config.intraday_amplitude), s_count)
+    share_path = window_vol = None
+    if config.comovement is None:
+        scale = np.empty(s_count)
+        xi = np.empty(s_count)
+        for reg in config.regime_schedule:
+            scale[reg.start : reg.stop] = reg.factor_loading_scale
+            xi[reg.start : reg.stop] = reg.idiosyncratic_vol
+        scale_sec = np.repeat(scale, SESSION_SECONDS)
+        xi_sec = np.repeat(xi, SESSION_SECONDS)
+        returns = scale_sec[:, None] * signal + xi_sec[:, None] * idio
+    else:
+        cm = config.comovement
+        n_windows = t_total // cm.window_seconds
+        phi = 0.5 ** (1.0 / cm.half_life_windows)
+        mu = math.log(cm.mean_share / (1.0 - cm.mean_share))
+        eta = np.random.default_rng(seq_share).standard_normal(n_windows)
+        x = np.empty(n_windows)
+        stationary_sd = cm.share_innovation / math.sqrt(1.0 - phi * phi) if phi < 1 else cm.share_innovation
+        x[0] = mu + stationary_sd * eta[0]
+        for w in range(1, n_windows):
+            x[w] = mu + phi * (x[w - 1] - mu) + cm.share_innovation * eta[w]
+        share_path = 1.0 / (1.0 + np.exp(-x))
+        lagged = np.concatenate(([cm.mean_share], share_path[:-1]))
+        window_vol = np.exp(cm.vol_feedback * (lagged - cm.mean_share))
+        a = loadings_lin
+        b = c * loadings_cub
+        var_n = np.sum(a * a + 6.0 * a * b + 15.0 * b * b, axis=1)
+        signal_hat = signal / np.sqrt(var_n)
+        s_sec = np.repeat(share_path, cm.window_seconds)
+        vol_sec = np.repeat(window_vol, cm.window_seconds)
+        returns = vol_sec[:, None] * (
+            np.sqrt(s_sec)[:, None] * signal_hat + np.sqrt(1.0 - s_sec)[:, None] * idio
+        )
+    returns *= config.base_vol * profile[:, None]
+    if config.market_composite:
+        returns = np.hstack([returns.mean(axis=1, keepdims=True), returns])
+    returns.reshape(s_count, SESSION_SECONDS, -1)[:, 0] = 0.0
+    prices = 100.0 * np.exp(np.cumsum(returns, axis=0))
+    return prices, SyntheticDetails(loadings_lin, loadings_cub, share_path, window_vol)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_config(n_assets=4, n_sessions=4, seed=11, regime_schedule=(
+            RegimeSpec(0, 2, 1.0, 0.5), RegimeSpec(2, 4, 0.3, 1.2))),
+        comovement_config(n_sessions=3, seed=12, vol_feedback=2.0),
+        comovement_config(n_sessions=2, seed=13, vol_feedback=-0.7, nonlinearity=0.6, market_composite=True),
+        small_config(n_assets=6, n_sessions=3, seed=14, market_composite=True, nonlinearity=0.8),
+        small_config(n_assets=5, n_sessions=3, seed=15, n_factors=1, intraday_amplitude=1.2),
+        small_config(n_assets=3, n_sessions=1, seed=16, n_factors=1, nonlinearity=0.3,
+                     intraday_amplitude=0.5),
+    ],
+    ids=["two-regimes", "comovement-feedback", "comovement-composite-cubic", "composite-cubic",
+         "intraday", "one-session"],
+)
+def test_generator_matches_the_whole_panel_oracle_bitwise(config):
+    panel, details = generate_synthetic_market_details(config)
+    prices, want = _whole_panel_generator(config)
+    assert panel.prices.tobytes() == prices.tobytes()
+    for field in dataclasses.fields(SyntheticDetails):
+        got, expected = getattr(details, field.name), getattr(want, field.name)
+        assert (got is None) == (expected is None), field.name
+        if got is not None:
+            assert got.tobytes() == expected.tobytes(), field.name
+
+
+@pytest.mark.parametrize("comovement", [None, CoMovementSpec(share_innovation=0.7, vol_feedback=0.5)],
+                         ids=["regimes", "comovement"])
+def test_generator_memory_beyond_its_prices_is_flat_in_sessions(comovement):
+    extra = []
+    for n in (4, 16):
+        config = small_config(n_assets=6, n_sessions=n, nonlinearity=0.5, comovement=comovement)
+        panel, peak = traced_peak(lambda: generate_synthetic_market(config))
+        extra.append(peak - panel.prices.nbytes)
+    session_bytes = SESSION_SECONDS * 6 * 8
+    assert abs(extra[1] - extra[0]) < session_bytes
 
 
 def test_intraday_profile_u_shape():

@@ -486,6 +486,78 @@ def test_training_returns_best_epoch_parameters():
     assert refit == min(h["val_fit"] for h in history)
 
 
+def _full_workspace_training(net, params, x_train, y_train, x_val, y_val, spec, cfg, rng):
+    """train_dense_net as it was when its validation pass ran through a full inference
+    Workspace and fit_term: the loop's oracle."""
+    d_out = net.dims[-1]
+    x_rows = np.ascontiguousarray(x_train, dtype=np.float64)
+    y_rows = None if y_train is None else np.ascontiguousarray(y_train, dtype=np.float64)
+    xv_t = np.ascontiguousarray(np.asarray(x_val, dtype=np.float64).T)
+    yv = xv_t[:d_out].T if y_val is None else y_val
+    theta, live = param_views(net, flatten(params))
+    g, grads = param_views(net)
+    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
+    works = {}
+    val_work = Workspace(net, xv_t.shape[1], train=False)
+    best_fit, best, bad_epochs, history = math.inf, theta.copy(), 0, []
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(x_rows.shape[0])
+        epoch_losses = []
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            work = works.setdefault(idx.size, Workspace(net, idx.size))
+            np.copyto(work.batch, x_rows.take(idx, axis=0).T)
+            xb = work.batch.T
+            yb = xb[:, :d_out] if y_rows is None else y_rows.take(idx, axis=0)
+            mask = dropout_mask(rng, cfg.dropout_rate, work.mask) if cfg.dropout_rate else None
+            loss, _, _ = loss_and_grads(net, live, xb, yb, spec, mask, grads, work)
+            if cfg.clip_norm is not None:
+                clip_global_norm(g, cfg.clip_norm)
+            t += 1
+            adam_step(theta, g, m, v, t, cfg.learning_rate)
+            epoch_losses.append(loss)
+        _, z_val, out_val = nn._forward_t(net, live, xv_t, None, val_work)[-1]
+        val_fit = fit_term(spec, out_val.T, yv, z_out=z_val.T)
+        history.append({"epoch": epoch, "train_loss": float(np.mean(epoch_losses)), "val_fit": val_fit})
+        if val_fit < best_fit:
+            best_fit, bad_epochs = val_fit, 0
+            best[:] = theta
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    return param_views(net, best)[1], history
+
+
+@pytest.mark.parametrize("case", ["autoencoder", "mlp-regression", "mlp-bce", "identity-hidden"])
+def test_validation_pass_matches_the_full_workspace_oracle(case):
+    rng = np.random.default_rng(40)
+    rows, val_rows = 300, 130
+    spec, y_train, y_val = LossSpec("mse"), None, None
+    cfg = TrainConfig(learning_rate=0.02, batch_size=64, max_epochs=6, patience=2, clip_norm=1.0)
+    if case == "autoencoder":  # targets are the input columns but the last
+        net = DenseNet((6, 4, 2, 4, 5), ("elu", "elu", "elu", "identity"))
+        spec = LossSpec("mse", l1_weight=0.01, l1_layer=1)
+        cfg = TrainConfig(learning_rate=0.02, batch_size=64, max_epochs=6, patience=2, dropout_rate=0.2)
+    elif case == "identity-hidden":  # a width-1 hidden layer, and two identity layers in a row
+        net = DenseNet((4, 3, 1, 2), ("identity", "identity", "elu"))
+    else:
+        net = DenseNet((4, 5, 1), ("relu", "sigmoid" if case == "mlp-bce" else "identity"))
+        spec = LossSpec("bce" if case == "mlp-bce" else "mse", l2_weight=0.1)
+    x = rng.normal(size=(rows + val_rows, net.dims[0]))
+    if case != "autoencoder":
+        y = np.tanh(x[:, :1] - x[:, 1:2]) + 0.1 * rng.normal(size=(len(x), 1))
+        y = (y > 0).astype(float) if case == "mlp-bce" else np.repeat(y, net.dims[-1], axis=1)
+        y_train, y_val = y[:rows], y[rows:]
+    params = init_params(net, np.random.default_rng(41))
+    got_params, got = train_dense_net(net, params, x[:rows], y_train, x[rows:], y_val, spec, cfg,
+                                      np.random.default_rng(42))
+    want_params, want = _full_workspace_training(net, params, x[:rows], y_train, x[rows:], y_val, spec,
+                                                 cfg, np.random.default_rng(42))
+    assert got == want
+    assert flatten(got_params).tobytes() == flatten(want_params).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_training_stops_after_patience_exhausted():
     xt, yt, xv, yv = _linear_task(seed=6)

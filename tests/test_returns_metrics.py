@@ -9,6 +9,7 @@ from arrkit.market_data import (
     ONE_HOUR,
     ONE_WEEK,
     SESSION_SECONDS,
+    TickPanel,
     generate_synthetic_market,
 )
 from arrkit.returns_metrics import (
@@ -45,6 +46,19 @@ def test_log_returns_hand_oracle(tiny_panel):
     per_session = np.vstack([np.diff(logp[s * SESSION_SECONDS : (s + 1) * SESSION_SECONDS], axis=0)
                              for s in range(2)])
     assert np.array_equal(r.returns.view(np.uint64), per_session.view(np.uint64))
+
+
+@pytest.mark.parametrize("blocks, rows", [(2, SESSION_SECONDS), (3, 7), (1, 2)])
+def test_log_returns_match_the_whole_panel_diff_bitwise(blocks, rows):
+    """Each session's differences, written one session at a time, equal one np.diff over
+    the whole (sessions, seconds, assets) panel."""
+    rng = np.random.default_rng(blocks * rows)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(scale=1e-3, size=(blocks * rows, 3)), axis=0))
+    panel = TickPanel(34200 + 86400 * np.arange(blocks), prices, ("A", "B", "C"))
+    want = np.diff(np.log(prices).reshape(blocks, rows, 3), axis=1).reshape(-1, 3)
+    got = log_returns(panel, 1)
+    assert got.returns.shape == want.shape
+    assert got.returns.tobytes() == want.tobytes()
 
 
 def test_log_returns_skip_session_boundary(tiny_panel):
