@@ -4,8 +4,8 @@ The ratio for a window is sum of squared reconstruction errors over all assets a
 timestamps in the window, divided by the matching sum of squared returns. Low values mean
 the compressed factor structure explains most of the cross-section (high co-movement);
 values near one mean returns are mostly idiosyncratic. Numerator and denominator window
-sums ride the same 5-minute-bucket machinery as realized variance, so re-aggregating
-5-minute ratios into hourly/daily/weekly ones is exact.
+sums are built from five-minute sums, as realized variance is, so re-aggregating 5-minute
+ratios into hourly/daily/weekly ones is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .market_data import ONE_WEEK, check_blocks
 from .pca import PcaModel, pca_reconstruct
-from .returns_metrics import ReturnsPanel, _check_interval, ewm_stats, window_sums
+from .returns_metrics import ReturnsPanel, _check_interval, ewm_stats, five_minute_sums, window_sums
 
 ARR_SOURCES = ("autoencoder", "pca")
 
@@ -97,29 +97,32 @@ def pca_reconstruction(model: PcaModel, returns: ReturnsPanel) -> Reconstruction
     )
 
 
+def squared_error(result: ReconstructionResult) -> np.ndarray:
+    """Per-row sum over assets of the squared reconstruction error."""
+    err = result.actual - result.reconstructed
+    return np.einsum("ij,ij->i", err, err)
+
+
 def compute_arr(
     result: ReconstructionResult, interval: int, *, rolling_weekly: bool = False
 ) -> ArrSeries:
-    """Reconstruction ratio over every aligned window of the given length.
+    """Reconstruction ratio over every aligned window of the given length."""
+    sq_ret = np.einsum("ij,ij->i", result.actual, result.actual)
+    fives = [five_minute_sums(v) for v in (squared_error(result), sq_ret)]
+    return ratio_series(*fives, result.opens, interval, result.source, rolling_weekly=rolling_weekly)
 
-    Windows whose squared-return denominator is zero are dropped (the ratio is undefined
-    when nothing moved).
-    """
-    err = result.actual - result.reconstructed
-    sq_err = np.einsum("ij,ij->i", err, err)
-    sq_act = np.einsum("ij,ij->i", result.actual, result.actual)
-    stamps, num, _ = window_sums(sq_err, result.opens, interval, rolling_weekly=rolling_weekly)
-    _, den, _ = window_sums(sq_act, result.opens, interval, rolling_weekly=rolling_weekly)
+
+def ratio_series(
+    err_fives, ret_fives, opens, interval: int, source: str, *, rolling_weekly: bool = False
+) -> ArrSeries:
+    """The ratio over every aligned window from the five-minute sums of the per-row squared
+    errors and squared returns of the sessions opening at `opens`. Windows whose denominator
+    is zero are dropped (the ratio is undefined when nothing moved)."""
+    stamps, num, _ = window_sums(err_fives, opens, interval, rolling_weekly=rolling_weekly)
+    _, den, _ = window_sums(ret_fives, opens, interval, rolling_weekly=rolling_weekly)
     keep = den > 0
-    return ArrSeries(
-        timestamps=stamps[keep],
-        values=num[keep] / den[keep],
-        interval=interval,
-        source=result.source,
-        numerators=num[keep],
-        denominators=den[keep],
-        rolling=rolling_weekly,
-    )
+    num, den = num[keep], den[keep]
+    return ArrSeries(stamps[keep], num / den, interval, source, num, den, rolling_weekly)
 
 
 def steps_per_session(interval: int, rolling: bool = False) -> float:

@@ -134,7 +134,8 @@ class TickPanel:
         px = np.ascontiguousarray(self.prices, dtype=np.float64)
         if px.ndim != 2 or px.shape[1] != len(self.asset_ids):
             raise ValueError("prices must be a 2-D array with one column per asset id")
-        if not np.all(np.isfinite(px)) or np.any(px <= 0.0):
+        # two reductions, no panel-sized mask: a NaN fails min() > 0, an inf fails isfinite
+        if px.size and not (px.min() > 0.0 and np.isfinite(px.max())):
             raise ValueError("non-positive price")
         object.__setattr__(self, "opens", check_blocks(self.opens, len(px)))
         px.setflags(write=False)
@@ -153,6 +154,13 @@ class TickPanel:
     def timestamps(self) -> np.ndarray:
         """The epoch second of every row."""
         return block_stamps(self.opens, self.n_rows, 0)
+
+    def select_sessions(self, start: int, stop: int, columns=slice(None)) -> "TickPanel":
+        """Sessions [start, stop) of the panel's `columns`: a view of its rows when every
+        column is kept, else a copy of those sessions alone."""
+        per = self.n_rows // len(self.opens)
+        rows = self.prices[start * per : stop * per, columns]
+        return TickPanel(self.opens[start:stop], rows, self.asset_ids[columns])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import zipfile
 
 import numpy as np
 
-from .arr import ArrSeries, align_series, compute_arr, pca_reconstruction, smooth_arr
+from .arr import ArrSeries, align_series, pca_reconstruction, ratio_series, smooth_arr, squared_error
 from .autoencoder import random_search_ae, reconstruct_series
 from .config import RunConfig, SCHEMA_VERSION, config_hash, data_hash
 from .forecasting import (
@@ -38,13 +38,13 @@ from .market_data import (
 )
 from .pca import fit_pca
 from .returns_metrics import (
-    ReturnsPanel,
     RiskSeries,
     crash_labels,
     drawdown,
     log_returns,
     realized_variance,
     sample_price_series,
+    session_five_minute_sums,
     window_sums,
     winsorize,
 )
@@ -154,12 +154,10 @@ def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
     return TickPanel(calendar.opens, prices, asset_ids), calendar
 
 
-def _sector_ticks(ticks: TickPanel, cfg: RunConfig) -> TickPanel:
-    """Drop the market composite column (asset 0) when the panel carries one."""
+def _sector_columns(cfg: RunConfig) -> slice:
+    """The panel's sector columns: all but the market composite (asset 0), if it has one."""
     composite = cfg.data_source == "synthetic" and cfg.synthetic.market_composite
-    if not composite:
-        return ticks
-    return TickPanel(ticks.opens, ticks.prices[:, 1:], ticks.asset_ids[1:])
+    return slice(1, None) if composite else slice(None)
 
 
 def _session_of(stamps: np.ndarray, calendar: SessionCalendar) -> np.ndarray:
@@ -243,8 +241,9 @@ def cmd_train(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
     worker processes (default: the usable CPUs); fit the linear factor model on the
     train+validation window. Writes serialized models plus the trial log."""
     ticks, _ = load_panel(cfg, out_dir)
-    sectors = _sector_ticks(ticks, cfg)
-    returns = log_returns(sectors, 1)
+    # the returns of the fit window's sessions alone, the only ones the fits read
+    fit_ticks = ticks.select_sessions(0, cfg.splits.fit_range[1], _sector_columns(cfg))
+    returns = log_returns(fit_ticks, 1)
     directory = stage_dir(out_dir, "models")
     n_components = max(1, returns.n_assets // 5)
     outputs, extra = [], {
@@ -300,13 +299,13 @@ def _model_path(out_dir, source: str) -> str:
     return path
 
 
-def reconstruction_for(source: str, out_dir, returns: ReturnsPanel):
-    """Reconstruct a returns panel with a serialized model of the given source."""
+def reconstructor(source: str, out_dir):
+    """The reconstruction of a returns panel by the serialized model of the given source."""
     if source == "autoencoder":
         model, _ = load_autoencoder(_model_path(out_dir, source))
-        return reconstruct_series(model, returns)
+        return lambda returns: reconstruct_series(model, returns)
     model, _ = load_pca(_model_path(out_dir, source))
-    return pca_reconstruction(model, returns)
+    return lambda returns: pca_reconstruction(model, returns)
 
 
 def _write_arr_segments_csv(series: ArrSeries, segments, path) -> None:
@@ -343,7 +342,14 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
     """Reconstruction-ratio series at every configured frequency for each trained model
     source, plus the EWMA-smoothed five-minute series, with segment flags."""
     ticks, calendar = load_panel(cfg, out_dir)
-    returns = log_returns(_sector_ticks(ticks, cfg), 1)
+    sources = _selected_sources(cfg)
+    reconstructors = [reconstructor(source, out_dir) for source in sources]
+
+    def squares(returns):  # one session: its squared returns, then each source's errors
+        sq_ret = np.einsum("ij,ij->i", returns.returns, returns.returns)
+        return (sq_ret, *(squared_error(reconstruct(returns)) for reconstruct in reconstructors))
+
+    ret_fives, *err_fives = session_five_minute_sums(ticks, squares, _sector_columns(cfg))
     directory = stage_dir(out_dir, "arr")
     fit_end = cfg.splits.fit_range[1]
     outputs = []
@@ -352,10 +358,11 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
         sess = _session_of(series.timestamps, calendar)
         return np.where(sess < fit_end, "in_sample", "out_of_sample")
 
-    for source in _selected_sources(cfg):
-        recon = reconstruction_for(source, out_dir, returns)
+    for source, fives in zip(sources, err_fives):
         for freq in cfg.frequencies:
-            series = compute_arr(recon, freq, rolling_weekly=freq == ONE_WEEK)
+            series = ratio_series(
+                fives, ret_fives, ticks.opens, freq, source, rolling_weekly=freq == ONE_WEEK
+            )
             name = arr_file_name(source, freq)
             _write_arr_segments_csv(series, segments_of(series), os.path.join(directory, name))
             outputs.append(name)
@@ -373,7 +380,7 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
         cfg,
         outputs,
         extra={
-            "sources": list(_selected_sources(cfg)),
+            "sources": list(sources),
             "frequencies": [FREQ_NAMES[f] for f in cfg.frequencies],
             "smooth_half_life_days": cfg.smooth_half_life_days,
             "in_sample_sessions": [cfg.splits.train[0], fit_end],
@@ -385,25 +392,26 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
 # analyze
 
 
-def _market_base(ticks: TickPanel) -> ReturnsPanel:
-    """One-second log returns of the market (asset 0) alone."""
-    return log_returns(TickPanel(ticks.opens, ticks.prices[:, :1], ticks.asset_ids[:1]), 1)
+def _market_base(ticks: TickPanel) -> list:
+    """Five-minute sums of the market's (asset 0's) one-second returns and of their squares."""
+    market = slice(0, 1)
+    return session_five_minute_sums(ticks, lambda r: (r.returns[:, 0], r.returns[:, 0] ** 2), market)
 
 
-def _market_returns(base: ReturnsPanel, freq: int) -> RiskSeries:
-    """The market's log returns over `freq` windows, summed from its one-second returns."""
-    stamps, sums, _ = window_sums(base.returns, base.opens, freq, rolling_weekly=freq == ONE_WEEK)
-    return RiskSeries(stamps, sums[:, 0], "return", freq)
+def _market_returns(ret_fives, opens, freq: int) -> RiskSeries:
+    """The market's log returns over `freq` windows, summed from its five-minute sums."""
+    stamps, sums, _ = window_sums(ret_fives, opens, freq, rolling_weekly=freq == ONE_WEEK)
+    return RiskSeries(stamps, sums, "return", freq)
 
 
-def _metric_series(ticks: TickPanel, base: ReturnsPanel, metric: str, freq: int):
-    rolling = freq == ONE_WEEK
+def _metric_series(ticks: TickPanel, market, metric: str, freq: int):
+    (ret_fives, sq_fives), rolling = market, freq == ONE_WEEK
     if metric == "returns":
-        series = _market_returns(base, freq)
+        series = _market_returns(ret_fives, ticks.opens, freq)
     elif metric == "log_rv":
-        series = realized_variance(base, freq, rolling_weekly=rolling)
+        series = realized_variance(sq_fives, ticks.opens, freq, rolling_weekly=rolling)
     else:
-        stamps, prices = sample_price_series(ticks, freq, base.asset_ids[0], rolling_weekly=rolling)
+        stamps, prices = sample_price_series(ticks, freq, ticks.asset_ids[0], rolling_weekly=rolling)
         series = drawdown(stamps, prices, freq)
     return series.timestamps, series.values
 
@@ -523,11 +531,11 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
         raise StageError("forecasting needs all four frequencies configured")
     source = cfg.resolved_analyze_source()
     arr_dir = os.path.join(out_dir, "arr")
-    base = _market_base(ticks)
+    ret_fives, sq_fives = _market_base(ticks)
 
     log_rv, arr = {}, {}
     for freq in FREQUENCIES:
-        log_rv[freq] = realized_variance(base, freq, rolling_weekly=freq == ONE_WEEK)
+        log_rv[freq] = realized_variance(sq_fives, ticks.opens, freq, rolling_weekly=freq == ONE_WEEK)
         path = os.path.join(arr_dir, arr_file_name(source, freq))
         if not os.path.exists(path):
             raise StageError("cmd_arr outputs missing", details={"missing": [path]})
@@ -539,7 +547,7 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
         if horizon not in cfg.horizons:
             continue
         labels = crash_labels(
-            _market_returns(base, horizon), cfg.crash_half_life, cfg.crash_threshold
+            _market_returns(ret_fives, ticks.opens, horizon), cfg.crash_half_life, cfg.crash_threshold
         )
         for ti, task in enumerate(("regression", "classification")):
             crash = labels if task == "classification" else None
@@ -620,12 +628,10 @@ def _reconstruction_block(cfg: RunConfig, out_dir) -> dict:
     if cfg.models != "both":
         return {"status": "skipped", "reason": "needs both model sources trained"}
     ticks, _ = load_panel(cfg, out_dir)
-    returns = log_returns(_sector_ticks(ticks, cfg), 1)
-    test = returns.select_sessions(*cfg.splits.test)
+    test = log_returns(ticks.select_sessions(*cfg.splits.test, _sector_columns(cfg)), 1)
     flat = {}
     for source in ("autoencoder", "pca"):
-        recon = reconstruction_for(source, out_dir, test)
-        flat[source] = recon.reconstructed.ravel()
+        flat[source] = reconstructor(source, out_dir)(test).reconstructed.ravel()
     actual = test.returns.ravel()
     boot = paired_bootstrap(
         actual,

@@ -5,7 +5,10 @@ One-second log returns are session-major like the prices they come from: a block
 
 Window conventions (shared by realized variance, reconstruction ratios and market returns):
 the four windows of `market_data.WINDOWS` (5 minutes, 1 hour, 1 day, 1 week) are the only
-ones, and `window_sums` sums them from full sessions of one-second values. Windows have right
+ones. Five-minute sums are the one windowed intermediate: `five_minute_sums` sums one-second
+values into each session's 78 buckets, and `window_sums` builds every window from those.
+`session_five_minute_sums` makes them one session at a time from a row view of the prices,
+so a stage holds no one-second array longer than a session. Windows have right
 edges at open + k*interval inside each session and never straddle sessions. A 6.5-hour
 session yields 78 five-minute windows, 6 complete hourly windows (the final 30 minutes
 belong to no hourly window) and one daily window; weekly windows span 5 sessions (rolling
@@ -59,9 +62,6 @@ class ReturnsPanel:
         """The epoch second at which each row's return ends."""
         return block_stamps(self.opens, len(self.returns), 1)
 
-    def column(self, asset_id: str) -> np.ndarray:
-        return self.returns[:, self.asset_ids.index(asset_id)]
-
     def select_sessions(self, start: int, stop: int) -> "ReturnsPanel":
         """Sessions [start, stop) of the panel, as a view of its rows."""
         opens = self.opens[start:stop]
@@ -109,27 +109,37 @@ class CrashLabels:
 # window machinery
 
 
-def window_sums(
-    values: np.ndarray, opens: np.ndarray, window: int, *, rolling_weekly: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum one-second `values` over every aligned window of a supported length.
+def five_minute_sums(values: np.ndarray) -> np.ndarray:
+    """Sums (S, 78[, N]) of one-second `values` over each session's 5-minute buckets.
 
-    values may be [T] or [T, N] (summed along time only): the one-second returns, or a
-    per-row function of them, of the full sessions opening at `opens`. Returns (stamps,
-    sums, window_session) where stamps are window right-edge epochs and window_session is
-    the position in `opens` of the session the window ends in.
+    values may be [T] or [T, N] (summed along time only): the one-second returns of S full
+    sessions, or a per-row function of them; a session's last bucket holds 299 seconds.
     """
     values = np.asarray(values, dtype=np.float64)
-    n, tail = len(opens), values.shape[1:]
+    n, tail = len(values) // (SESSION_SECONDS - 1), values.shape[1:]
     if n == 0 or len(values) != n * (SESSION_SECONDS - 1):
         raise ValueError("incomplete session: expected a full 6.5-hour grid")
-    stamps, ends = _window_edges(opens, window, rolling_weekly)
     # one trailing -0.0 per session makes 78 whole 5-minute buckets; x + -0.0 == x bitwise
     grid = np.concatenate(
         [values.reshape((n, SESSION_SECONDS - 1) + tail), np.full((n, 1) + tail, -0.0)], axis=1
     )
-    per_day = SESSION_SECONDS // FIVE_MIN
-    fives = grid.reshape((n, per_day, FIVE_MIN) + tail).sum(axis=2)
+    return grid.reshape((n, SESSION_SECONDS // FIVE_MIN, FIVE_MIN) + tail).sum(axis=2)
+
+
+def window_sums(
+    fives: np.ndarray, opens: np.ndarray, window: int, *, rolling_weekly: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum five-minute sums over every aligned window of a supported length.
+
+    fives is (S, 78[, N]): the `five_minute_sums` of the full sessions opening at `opens`.
+    Returns (stamps, sums, window_session) where stamps are window right-edge epochs and
+    window_session is the position in `opens` of the session the window ends in.
+    """
+    fives = np.asarray(fives, dtype=np.float64)
+    n, per_day, tail = len(opens), SESSION_SECONDS // FIVE_MIN, fives.shape[2:]
+    if n == 0 or fives.shape[:2] != (n, per_day):
+        raise ValueError(f"expected the five-minute sums of {n} sessions, got shape {fives.shape}")
+    stamps, ends = _window_edges(opens, window, rolling_weekly)
     if window == ONE_WEEK:
         flat = fives.reshape((n * per_day,) + tail)
         sums = np.array([flat[(e - 4) * per_day : (e + 1) * per_day].sum(axis=0) for e in ends])
@@ -137,6 +147,15 @@ def window_sums(
         group, per = window // FIVE_MIN, WINDOWS[window][1]
         sums = fives[:, : per * group].reshape((n * per, group) + tail).sum(axis=1)
     return stamps, sums, ends
+
+
+def session_five_minute_sums(ticks: TickPanel, per_second, columns=slice(None)) -> list:
+    """One (S, 78[, n]) array of five-minute sums per value that `per_second` makes of the
+    log returns, one session at a time: each session's `columns` of prices, a row view, go
+    through `log_returns`, then `per_second` gives a tuple of [rows] or [rows, n] arrays."""
+    sessions = (log_returns(ticks.select_sessions(s, s + 1, columns), 1) for s in range(len(ticks.opens)))
+    sums = [[five_minute_sums(v) for v in per_second(returns)] for returns in sessions]
+    return [np.concatenate(per_session) for per_session in zip(*sums)]
 
 
 def _window_edges(opens, window, rolling_weekly):
@@ -166,7 +185,7 @@ def _check_interval(window: int) -> float:
 def log_returns(panel: TickPanel, interval: int = 1) -> ReturnsPanel:
     """One-second log returns inside each session of the panel; none spans two sessions.
 
-    Only `interval` 1 is accepted; `window_sums` sums the returns over longer windows.
+    Only `interval` 1 is accepted; `five_minute_sums` and `window_sums` sum longer windows.
     """
     if interval != 1:
         raise ValueError(f"log returns are one-second only (interval {interval}); "
@@ -182,25 +201,12 @@ def log_returns(panel: TickPanel, interval: int = 1) -> ReturnsPanel:
 # realized variance
 
 
-def realized_variance_windows(
-    returns: ReturnsPanel, window: int, asset_id: str | None = None, *, rolling_weekly: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw windowed RV sums (timestamps, values): RV(t, dt) = sum of r^2 over (t-dt, t]."""
-    if asset_id is None:
-        if returns.n_assets != 1:
-            raise ValueError("asset_id required for multi-asset panels")
-        col = returns.returns[:, 0]
-    else:
-        col = returns.column(asset_id)
-    stamps, sums, _ = window_sums(col * col, returns.opens, window, rolling_weekly=rolling_weekly)
-    return stamps, sums
-
-
 def realized_variance(
-    returns: ReturnsPanel, window: int, asset_id: str | None = None, *, rolling_weekly: bool = False
+    squared_fives: np.ndarray, opens: np.ndarray, window: int, *, rolling_weekly: bool = False
 ) -> RiskSeries:
-    """Log RV series: log of the windowed sum of squared returns, RV=0 windows absent."""
-    stamps, rv = realized_variance_windows(returns, window, asset_id, rolling_weekly=rolling_weekly)
+    """Log RV series from the five-minute sums of squared returns: RV(t, dt) = sum of r^2
+    over (t-dt, t], logged, with RV=0 windows absent."""
+    stamps, rv, _ = window_sums(squared_fives, opens, window, rolling_weekly=rolling_weekly)
     keep = rv > 0.0
     return RiskSeries(stamps[keep], np.log(rv[keep]), "log_rv", window)
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from arrkit.market_data import (
+    FIVE_MIN,
+    ONE_DAY,
+    ONE_WEEK,
+    SESSION_SECONDS,
     CoMovementSpec,
     RegimeSpec,
     SyntheticMarketConfig,
@@ -65,3 +69,44 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def whole_panel_window_sums(values, opens, window, rolling_weekly=False):
+    """Oracle: the whole-panel window sums that built every window straight from the
+    one-second values of all sessions at once."""
+    values = np.asarray(values, dtype=np.float64)
+    n, tail = len(opens), values.shape[1:]
+    if n == 0 or len(values) != n * (SESSION_SECONDS - 1):
+        raise ValueError("incomplete session: expected a full 6.5-hour grid")
+    if window == ONE_WEEK:
+        if n < 5:
+            raise ValueError("interval larger than available data (need 5 sessions)")
+        ends = np.arange(4, n, 1 if rolling_weekly else 5)
+        stamps = opens[ends] + ONE_DAY
+    else:
+        per = SESSION_SECONDS // window
+        stamps = (opens[:, None] + window * np.arange(1, per + 1)).ravel()
+    grid = np.concatenate(
+        [values.reshape((n, SESSION_SECONDS - 1) + tail), np.full((n, 1) + tail, -0.0)], axis=1
+    )
+    per_day = SESSION_SECONDS // FIVE_MIN
+    fives = grid.reshape((n, per_day, FIVE_MIN) + tail).sum(axis=2)
+    if window == ONE_WEEK:
+        flat = fives.reshape((n * per_day,) + tail)
+        sums = np.array([flat[(e - 4) * per_day : (e + 1) * per_day].sum(axis=0) for e in ends])
+    else:
+        group = window // FIVE_MIN
+        sums = fives[:, : per * group].reshape((n * per, group) + tail).sum(axis=1)
+    return stamps, sums
+
+
+def whole_panel_ratio(result, interval, rolling_weekly=False):
+    """Oracle: the ratio's stamps, numerators and denominators from whole-panel window sums
+    of a reconstruction's per-row squared errors and squared returns."""
+    err = result.actual - result.reconstructed
+    sq_err = np.einsum("ij,ij->i", err, err)
+    sq_act = np.einsum("ij,ij->i", result.actual, result.actual)
+    stamps, num = whole_panel_window_sums(sq_err, result.opens, interval, rolling_weekly)
+    _, den = whole_panel_window_sums(sq_act, result.opens, interval, rolling_weekly)
+    keep = den > 0
+    return stamps[keep], num[keep], den[keep]

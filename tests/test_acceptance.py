@@ -33,13 +33,13 @@ from arrkit.nn import LossSpec, dropout_mask, gradient_check, init_params
 from arrkit.pca import absorption_ratio, eigh_descending, fit_pca, pca_reconstruct
 from arrkit.pipeline import _subset_dataset
 from arrkit.returns_metrics import (
-    ReturnsPanel,
     RiskSeries,
     crash_labels,
     ewm_stats,
+    five_minute_sums,
     log_returns,
     realized_variance,
-    realized_variance_windows,
+    window_sums,
 )
 from arrkit.stats import auroc, paired_bootstrap, r_squared
 
@@ -258,8 +258,10 @@ def _forecast_rep(seed: int, vol_feedback: float, n_sessions: int = 14, fit_end:
     pca = fit_pca(returns.select_sessions(0, fit_end).returns, 1)
     recon = pca_reconstruction(pca, returns)
     arr = {f: compute_arr(recon, f, rolling_weekly=f == ONE_WEEK) for f in FREQUENCIES}
+    market = returns.returns[:, 0]
+    squared = five_minute_sums(market * market)
     log_rv = {
-        f: realized_variance(returns, f, panel.asset_ids[0], rolling_weekly=f == ONE_WEEK)
+        f: realized_variance(squared, returns.opens, f, rolling_weekly=f == ONE_WEEK)
         for f in FREQUENCIES
     }
     datasets = {flag: build_features(log_rv, arr, FIVE_MIN, flag) for flag in (True, False)}
@@ -445,11 +447,11 @@ def test_09_window_reaggregation_and_rv_additivity(verdict):
             worst = max(worst, abs(series.values[w] - ratio))
             assert fives.timestamps[block.stop - 1] == series.timestamps[w]
 
-    panel = ReturnsPanel(opens, x, ("a", "b", "c"))
-    _, rv_five = realized_variance_windows(panel, FIVE_MIN, "a")
+    squared = five_minute_sums(x[:, 0] * x[:, 0])  # asset "a"
+    _, rv_five, _ = window_sums(squared, opens, FIVE_MIN)
     additivity_exact = True
     for coarse in (ONE_HOUR, ONE_DAY):
-        _, rv_coarse = realized_variance_windows(panel, coarse, "a")
+        _, rv_coarse, _ = window_sums(squared, opens, coarse)
         rebuilt = np.array([
             np.sum(rv_five[_block(coarse, w)]) for w in range(len(rv_coarse))
         ])

@@ -9,12 +9,15 @@ from arrkit.arr import (
     align_series,
     compute_arr,
     pca_reconstruction,
+    ratio_series,
     smooth_arr,
     steps_per_session,
 )
 from arrkit.market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK, SESSION_SECONDS
 from arrkit.pca import fit_pca
-from arrkit.returns_metrics import ReturnsPanel, ewm_stats
+from arrkit.returns_metrics import ReturnsPanel, ewm_stats, five_minute_sums
+
+from conftest import whole_panel_ratio
 
 OPEN_OFFSET = 34200
 PER_SESSION = SESSION_SECONDS - 1  # 1-second return rows per session
@@ -141,6 +144,32 @@ def test_weekly_windows_rolling_and_non_overlapping():
     blocked = compute_arr(res, ONE_WEEK)
     assert list(blocked.timestamps) == [daily.timestamps[4]]
     assert blocked.numerators[0] == np.sum(five.numerators[: 5 * per_day])
+
+
+@pytest.mark.parametrize(
+    "interval,rolling",
+    [(FIVE_MIN, False), (ONE_HOUR, False), (ONE_DAY, False), (ONE_WEEK, False), (ONE_WEEK, True)],
+)
+def test_ratio_matches_the_whole_panel_oracle_bitwise(interval, rolling):
+    """compute_arr, and the ratio built from five-minute sums made one session at a time
+    (as the arr stage builds it), both equal the whole-panel ratio bit for bit."""
+    res = _result(n_sessions=6, n_assets=3, seed=8)
+    actual = np.array(res.actual, copy=True)
+    actual[PER_SESSION + 600 : PER_SESSION + 900] = 0.0  # a zero-denominator window
+    res = ReconstructionResult(res.opens, actual, res.reconstructed, res.asset_ids, "pca")
+    stamps, num, den = whole_panel_ratio(res, interval, rolling)
+    rows = [slice(s * PER_SESSION, (s + 1) * PER_SESSION) for s in range(6)]
+    per_session = [
+        np.concatenate([five_minute_sums(np.einsum("ij,ij->i", x[r], x[r])) for r in rows])
+        for x in (res.actual - res.reconstructed, res.actual)
+    ]
+    for got in (compute_arr(res, interval, rolling_weekly=rolling),
+                ratio_series(*per_session, res.opens, interval, "pca", rolling_weekly=rolling)):
+        assert np.array_equal(got.timestamps, stamps)
+        assert got.numerators.tobytes() == num.tobytes()
+        assert got.denominators.tobytes() == den.tobytes()
+        assert got.values.tobytes() == (num / den).tobytes()
+        assert got.rolling is rolling and got.source == "pca"
 
 
 def test_pca_reconstruction_wraps_model_output():

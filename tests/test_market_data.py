@@ -100,10 +100,41 @@ class TestTickPanelValidation:
         with pytest.raises(ValueError, match="price"):
             TickPanel(opens, prices, ids)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "minus-inf", "zero", "negative"])
+    def test_rejects_each_bad_price_without_a_panel_sized_mask(self, bad):
+        opens, prices, ids = self._args()
+        prices = prices.copy()
+        prices[57, 0] = bad
+        with pytest.raises(ValueError, match="non-positive price"):
+            TickPanel(opens, prices, ids)
+        # the price check comes before the block check, as it always has
+        with pytest.raises(ValueError, match="non-positive price"):
+            TickPanel(np.array([0, 100, 200]), prices, ids)
+
+    def test_accepts_an_empty_panel_as_before(self):
+        panel = TickPanel(np.array([34200]), np.empty((0, 2)), ("A", "B"))
+        assert panel.n_rows == 0 and panel.n_assets == 2
+
     def test_rejects_shape_mismatch(self):
         opens, prices, ids = self._args()
         with pytest.raises(ValueError):
             TickPanel(opens, prices, ("A",))
+        with pytest.raises(ValueError, match="2-D array"):
+            TickPanel(opens, np.full(100, np.nan), ("A",))  # the shape check comes first
+
+    def test_select_sessions_is_a_row_view(self):
+        opens, prices, ids = self._args()
+        panel = TickPanel(opens, prices, ids)
+        second = panel.select_sessions(1, 2)
+        assert np.shares_memory(second.prices, panel.prices)
+        assert np.array_equal(second.opens, [34300])
+        assert np.array_equal(second.timestamps, 34300 + np.arange(50))
+        column = panel.select_sessions(0, 2, slice(1, None))  # a column slice is a copy
+        assert column.asset_ids == ("B",) and column.n_rows == 100
+        assert np.array_equal(column.prices, prices[:, 1:])
+        with pytest.raises(ValueError, match="0 equal blocks"):
+            panel.select_sessions(2, 3)
 
 
 def test_generator_shape_and_grid(tiny_panel, tiny_calendar):

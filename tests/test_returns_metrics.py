@@ -19,15 +19,16 @@ from arrkit.returns_metrics import (
     crash_labels,
     drawdown,
     ewm_stats,
+    five_minute_sums,
     log_returns,
     realized_variance,
-    realized_variance_windows,
     sample_price_series,
+    session_five_minute_sums,
     window_sums,
     winsorize,
 )
 
-from conftest import small_config
+from conftest import small_config, whole_panel_window_sums
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ def test_log_returns_skip_session_boundary(tiny_panel):
 
 def test_log_returns_window_is_price_ratio(tiny_panel):
     r = log_returns(tiny_panel, 1)
-    _, hourly, _ = window_sums(r.returns, r.opens, ONE_HOUR)
+    _, hourly, _ = window_sums(five_minute_sums(r.returns), r.opens, ONE_HOUR)
     stamps, prices = sample_price_series(tiny_panel, ONE_HOUR, tiny_panel.asset_ids[0])
     open_price = tiny_panel.prices[0, 0]
     expected = np.log(prices[0] / open_price)
@@ -83,14 +84,14 @@ def test_log_returns_window_is_price_ratio(tiny_panel):
 
 def test_misaligned_interval_rejected(tiny_panel, tiny_returns):
     with pytest.raises(ValueError, match="misaligned"):
-        window_sums(tiny_returns.returns, tiny_returns.opens, 7)
+        window_sums(five_minute_sums(tiny_returns.returns), tiny_returns.opens, 7)
     with pytest.raises(ValueError, match="one-second only"):
         log_returns(tiny_panel, FIVE_MIN)  # windows are summed by window_sums
 
 
 def test_weekly_needs_five_sessions(tiny_returns):
     with pytest.raises(ValueError, match="5 sessions"):
-        window_sums(tiny_returns.returns, tiny_returns.opens, ONE_WEEK)
+        window_sums(five_minute_sums(tiny_returns.returns), tiny_returns.opens, ONE_WEEK)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def second_grid():
 
 def test_five_minute_window_layout(second_grid):
     opens, values = second_grid
-    stamps, sums, sess = window_sums(values, opens, 300)
+    stamps, sums, sess = window_sums(five_minute_sums(values), opens, 300)
     assert len(stamps) == 6 * 78  # 78 five-minute windows per session
     # window right edges sit on the 300s grid from the open
     assert np.all((stamps - 34200) % 300 == 0)
@@ -121,10 +122,10 @@ def test_five_minute_window_layout(second_grid):
 
 def test_hourly_daily_weekly_bitwise_reaggregation(second_grid):
     opens, values = second_grid
-    _, fives, _ = window_sums(values, opens, 300)
-    _, hours, _ = window_sums(values, opens, ONE_HOUR)
-    _, days, _ = window_sums(values, opens, ONE_DAY)
-    _, weeks, _ = window_sums(values, opens, ONE_WEEK)
+    _, fives, _ = window_sums(five_minute_sums(values), opens, 300)
+    _, hours, _ = window_sums(five_minute_sums(values), opens, ONE_HOUR)
+    _, days, _ = window_sums(five_minute_sums(values), opens, ONE_DAY)
+    _, weeks, _ = window_sums(five_minute_sums(values), opens, ONE_WEEK)
     per_day = fives.reshape(6, 78)
     # hourly windows are the first 6x12 five-minute buckets of each session, then a
     # half-hour stub that belongs to no hourly window
@@ -139,26 +140,31 @@ def test_hourly_daily_weekly_bitwise_reaggregation(second_grid):
 
 def test_rolling_weekly_windows(second_grid):
     opens, values = second_grid
-    _, fives, _ = window_sums(values, opens, 300)
-    stamps, rolled, sess = window_sums(values, opens, ONE_WEEK, rolling_weekly=True)
+    _, fives, _ = window_sums(five_minute_sums(values), opens, 300)
+    stamps, rolled, sess = window_sums(five_minute_sums(values), opens, ONE_WEEK, rolling_weekly=True)
     assert len(stamps) == 2  # sessions 4 and 5 complete a trailing week
     assert rolled[0] == np.sum(fives[: 5 * 78])
     assert rolled[1] == np.sum(fives[78 : 6 * 78])
     assert list(sess) == [4, 5]
 
 
-def test_window_sums_incomplete_session():
+def test_window_sums_incomplete_session(second_grid):
     with pytest.raises(ValueError, match="incomplete session"):
-        window_sums(np.ones(99), np.array([34200]), ONE_HOUR)
+        window_sums(five_minute_sums(np.ones(99)), np.array([34200]), ONE_HOUR)
+    opens, values = second_grid
+    with pytest.raises(ValueError, match="five-minute sums of 5 sessions"):
+        window_sums(five_minute_sums(values), opens[:5], ONE_HOUR)  # one session too many
+    with pytest.raises(ValueError, match="five-minute sums of 6 sessions"):
+        window_sums(values, opens, ONE_HOUR)  # one-second values, not their sums
 
 
 def test_window_sums_rejects_other_windows_and_coarse_grids(second_grid, tiny_returns):
     opens, values = second_grid
     with pytest.raises(ValueError, match="misaligned"):
-        window_sums(values, opens, 900)  # divides the session, but is not a supported window
-    _, fives, _ = window_sums(tiny_returns.returns, tiny_returns.opens, FIVE_MIN)
+        window_sums(five_minute_sums(values), opens, 900)  # divides the session, but is not supported
+    _, fives, _ = window_sums(five_minute_sums(tiny_returns.returns), tiny_returns.opens, FIVE_MIN)
     with pytest.raises(ValueError, match="incomplete session"):
-        window_sums(fives, tiny_returns.opens, ONE_HOUR)
+        window_sums(five_minute_sums(fives), tiny_returns.opens, ONE_HOUR)
 
 
 @pytest.fixture(scope="module")
@@ -199,12 +205,68 @@ def _window_oracle(panel, window, rolling_weekly):
 def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, rolling):
     per_second = log_returns(week_panel, 1)
     got_stamps, got, _ = window_sums(
-        per_second.returns, per_second.opens, window, rolling_weekly=rolling
+        five_minute_sums(per_second.returns), per_second.opens, window, rolling_weekly=rolling
     )
     stamps, sums = _window_oracle(week_panel, window, rolling)
     assert np.array_equal(got_stamps, stamps)
     assert got.shape == sums.shape == (len(stamps), 3)
     assert np.array_equal(got.view(np.uint64), sums.view(np.uint64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_sessions=st.integers(1, 7),
+    n_assets=st.integers(1, 3),
+    one_dimensional=st.booleans(),
+    squared=st.booleans(),
+    flat_stretch=st.booleans(),
+    window=st.sampled_from([FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK]),
+    rolling=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_session_five_minute_sums_match_the_whole_panel_oracle_bitwise(
+    n_sessions, n_assets, one_dimensional, squared, flat_stretch, window, rolling, seed
+):
+    """Five-minute sums made one session at a time, then summed into each window, equal
+    the whole-panel window sums bit for bit, for [T] and [T, N] values alike."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(scale=1e-3, size=(n_sessions * SESSION_SECONDS, n_assets))
+    if flat_stretch:  # runs of exactly zero returns
+        steps[rng.integers(0, len(steps) - 900) :][:900] = 0.0
+    prices = 100.0 * np.exp(np.cumsum(steps, axis=0))
+    opens = 34200 + 86400 * np.arange(n_sessions, dtype=np.int64)
+    panel = TickPanel(opens, prices, tuple("ABC"[:n_assets]))
+
+    def per_second(returns):
+        r = returns.returns[:, 0] if one_dimensional else returns.returns
+        return (r * r if squared else r,)
+
+    whole = per_second(log_returns(panel, 1))[0]
+    (fives,) = session_five_minute_sums(panel, per_second)
+    assert fives.shape == (n_sessions, 78) + whole.shape[1:]
+    if window == ONE_WEEK and n_sessions < 5:
+        with pytest.raises(ValueError, match="need 5 sessions"):
+            window_sums(fives, opens, window, rolling_weekly=rolling)
+        return
+    stamps, sums = whole_panel_window_sums(whole, opens, window, rolling)
+    got_stamps, got, _ = window_sums(fives, opens, window, rolling_weekly=rolling)
+    assert np.array_equal(got_stamps, stamps)
+    assert got.shape == sums.shape
+    assert got.tobytes() == sums.tobytes()
+
+
+def test_session_five_minute_sums_take_row_views_of_the_chosen_columns(week_panel):
+    seen = []
+
+    def per_second(returns):
+        seen.append((returns.asset_ids, returns.opens.tolist(), len(returns.returns)))
+        return returns.returns[:, 0], returns.returns
+
+    first, both = session_five_minute_sums(week_panel, per_second, slice(1, None))
+    assert seen == [(week_panel.asset_ids[1:], [o], SESSION_SECONDS - 1) for o in week_panel.opens]
+    assert first.shape == (6, 78) and both.shape == (6, 78, 2)
+    whole = log_returns(week_panel, 1).returns[:, 1:]
+    assert both.tobytes() == five_minute_sums(whole).tobytes()
 
 
 # every supported window that partitions the session; the 1-hour grid is excluded on
@@ -214,14 +276,14 @@ def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, roll
 def test_window_partition_additivity(window):
     rng = np.random.default_rng(99)
     values = rng.standard_normal(SESSION_SECONDS - 1)
-    _, sums, _ = window_sums(values, np.array([34200]), window)
+    _, sums, _ = window_sums(five_minute_sums(values), np.array([34200]), window)
     assert len(sums) == SESSION_SECONDS // window
     assert np.isclose(np.sum(sums), np.sum(values), rtol=1e-12)
 
 
 def test_hourly_windows_exclude_half_hour_stub(second_grid):
     opens, values = second_grid
-    stamps, sums, _ = window_sums(values, opens, ONE_HOUR)
+    stamps, sums, _ = window_sums(five_minute_sums(values), opens, ONE_HOUR)
     assert len(sums) == 6 * 6  # six complete hours per session
     # the last hourly edge sits 30 minutes before the close
     assert (stamps[5] - 34200) % 86400 == 6 * ONE_HOUR
@@ -231,17 +293,26 @@ def test_hourly_windows_exclude_half_hour_stub(second_grid):
 # realized variance
 
 
+def _squared_fives(returns):
+    """Five-minute sums of the first asset's squared returns."""
+    col = returns.returns[:, 0]
+    return five_minute_sums(col * col)
+
+
 def test_rv_is_sum_of_squares(tiny_returns):
-    asset = tiny_returns.asset_ids[0]
-    stamps, rv = realized_variance_windows(tiny_returns, 300, asset)
-    col = tiny_returns.column(asset)
+    squared = _squared_fives(tiny_returns)
+    stamps, rv, _ = window_sums(squared, tiny_returns.opens, 300)
+    col = tiny_returns.returns[:, 0]
     assert rv[0] == np.sum(col[:300] ** 2)  # bitwise: same slice, same reduction
+    series = realized_variance(squared, tiny_returns.opens, 300)
+    assert np.array_equal(series.timestamps, stamps[rv > 0])
+    assert series.values.tobytes() == np.log(rv[rv > 0]).tobytes()
 
 
 def test_rv_additivity_bitwise(tiny_returns):
-    asset = tiny_returns.asset_ids[0]
-    _, fives = realized_variance_windows(tiny_returns, 300, asset)
-    _, daily = realized_variance_windows(tiny_returns, ONE_DAY, asset)
+    squared = _squared_fives(tiny_returns)
+    _, fives, _ = window_sums(squared, tiny_returns.opens, 300)
+    _, daily, _ = window_sums(squared, tiny_returns.opens, ONE_DAY)
     assert daily[0] == np.sum(fives[:78])
     assert daily[1] == np.sum(fives[78:])
 
@@ -250,15 +321,16 @@ def test_log_rv_drops_zero_windows():
     values = np.zeros((SESSION_SECONDS - 1, 1))
     values[500, 0] = 0.01  # only the second five-minute window moves
     panel = ReturnsPanel(np.array([34200]), values, ("Z",))
-    series = realized_variance(panel, 300, "Z")
+    series = realized_variance(_squared_fives(panel), panel.opens, 300)
     assert len(series.values) == 1
     assert series.values[0] == pytest.approx(np.log(0.01**2), rel=1e-12)
     assert series.kind == "log_rv"
 
 
-def test_rv_multi_asset_requires_id(tiny_returns):
-    with pytest.raises(ValueError, match="asset_id"):
-        realized_variance_windows(tiny_returns, 300)
+def test_realized_variance_refuses_one_second_values(tiny_returns):
+    col = tiny_returns.returns[:, 0]
+    with pytest.raises(ValueError, match="five-minute sums of 2 sessions"):
+        realized_variance(col * col, tiny_returns.opens, 300)
 
 
 # ---------------------------------------------------------------------------
