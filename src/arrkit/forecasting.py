@@ -242,7 +242,7 @@ def fit_logistic_l1(
     y = np.asarray(y, dtype=np.float64).ravel()
     if c <= 0:
         raise ValueError("C must be positive")
-    if set(np.unique(y)) - {0.0, 1.0}:
+    if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("labels must be 0/1")
     n, f = x.shape
     x_mean = x.mean(axis=0)
@@ -674,7 +674,9 @@ def random_search_cv(
     blocks = chronological_folds(len(y), folds)
     fold_sets = []
     for f, block in enumerate(blocks):
-        tr_idx = np.setdiff1d(np.arange(len(y)), block)
+        outside = np.ones(len(y), dtype=bool)
+        outside[block] = False
+        tr_idx = np.flatnonzero(outside)
         x_tr, y_tr = x[tr_idx], y[tr_idx]
         if dataset.task == "classification":
             fold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(f,)))

@@ -57,7 +57,7 @@ from .serialization import (
     write_csv,
     write_json,
 )
-from .stats import auroc, kde2d, paired_bootstrap, r_squared, spearman
+from .stats import KdeGrid, auroc, kde2d, paired_bootstrap, r_squared, spearman
 
 ANALYZE_METRICS = ("returns", "log_rv", "drawdown")
 
@@ -309,8 +309,8 @@ def reconstructor(source: str, out_dir):
 
 
 def _write_arr_segments_csv(series: ArrSeries, segments, path) -> None:
-    rows = zip(series.timestamps.tolist(), series.values.tolist(), segments)
-    write_csv(path, ("timestamp", "arr", "segment"), rows)
+    columns = (series.timestamps.tolist(), series.values.tolist(), segments.tolist())
+    write_csv(path, ("timestamp", "arr", "segment"), columns)
 
 
 def read_arr_csv(path, interval: int, source: str) -> ArrSeries:
@@ -416,6 +416,15 @@ def _metric_series(ticks: TickPanel, market, metric: str, freq: int):
     return series.timestamps, series.values
 
 
+def _write_kde_csv(grid: KdeGrid, path) -> None:
+    """One (x, y, density) row per grid point, x-major; each x and y grid value is
+    formatted once, not once per row."""
+    xs = [str(v) for v in grid.x_grid.tolist()]
+    ys = [str(v) for v in grid.y_grid.tolist()]
+    columns = ([x for x in xs for _ in ys], ys * len(xs), grid.density.ravel().tolist())
+    write_csv(path, ("x", "y", "density"), columns)
+
+
 def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
     """Joint KDE grids and rank correlations of the reconstruction ratio against market
     returns, log realized variance, and drawdown, at every configured frequency."""
@@ -463,20 +472,14 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
                     cell.update(status="skipped", reason=str(exc))
                 else:
                     name = f"kde_{metric}_{FREQ_NAMES[freq]}.csv"
-                    y_grid = grid.y_grid.tolist()
-                    rows = (
-                        (x, y, d)
-                        for x, densities in zip(grid.x_grid.tolist(), grid.density.tolist())
-                        for y, d in zip(y_grid, densities)
-                    )
-                    write_csv(os.path.join(directory, name), ("x", "y", "density"), rows)
+                    _write_kde_csv(grid, os.path.join(directory, name))
                     outputs.append(name)
                     cell["kde_file"] = name
             cells.append(cell)
 
     columns = ("metric", "frequency", "n", "spearman", "kde_file", "status", "reason")
-    rows = ([c[col] for col in columns] for c in cells)
-    write_csv(os.path.join(directory, "correlations.csv"), columns, rows)
+    write_csv(os.path.join(directory, "correlations.csv"), columns,
+              [[c[col] for c in cells] for col in columns])
     outputs.append("correlations.csv")
 
     return write_manifest(
@@ -604,8 +607,8 @@ def cmd_forecast(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
         )
 
     directory = stage_dir(out_dir, "forecast")
-    cells = ([row.get(col) for col in _RESULT_COLUMNS] for row in rows)
-    write_csv(os.path.join(directory, "results.csv"), _RESULT_COLUMNS, cells)
+    write_csv(os.path.join(directory, "results.csv"), _RESULT_COLUMNS,
+              [[row.get(col) for row in rows] for col in _RESULT_COLUMNS])
     write_json({"cells": rows}, os.path.join(directory, "results.json"))
     return write_manifest(
         directory,

@@ -302,11 +302,23 @@ def crash_labels(
 
 
 def winsorize(values: np.ndarray, lower: float = 0.01, upper: float = 0.99) -> np.ndarray:
-    """Clamp below/above the (linearly interpolated) lower/upper percentiles."""
+    """Clamp below/above the (linearly interpolated) lower/upper percentiles: bitwise
+    `np.percentile`'s 'linear' bounds, from one partition at its positions (which decide
+    the sign of a zero bound too), without the numpy.ma import of its first call."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty series")
     if not (0.0 <= lower < upper <= 1.0):
         raise ValueError("need 0 <= lower < upper <= 1")
-    lo, hi = np.percentile(v, [100.0 * lower, 100.0 * upper])
-    return np.clip(v, lo, hi)
+    n = v.size
+    pos = [(n - 1) * ((100.0 * q) / 100) for q in (lower, upper)]
+    below = [-1 if p >= n - 1 else int(p) for p in pos]  # -1: the last value, as numpy indexes it
+    above = [-1 if i == -1 else i + 1 for i in below]
+    part = np.partition(v.ravel(), sorted({0, -1, *below, *above}))
+    if np.isnan(part[-1]):  # a NaN sorts last, and any NaN makes both bounds NaN
+        return np.clip(v, np.nan, np.nan)
+    bounds = []
+    for p, i, j in zip(pos, below, above):
+        a, b, t = float(part[i]), float(part[j]), p - i
+        bounds.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return np.clip(v, *bounds)

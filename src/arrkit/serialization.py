@@ -26,13 +26,17 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """Comma-joined rows under a header line: a cell is empty for None and str() of
-    anything else, which for a float is its shortest repr, exact on reading back."""
+def write_csv(path, header, columns) -> None:
+    """Comma-joined rows under a header line, from one sized sequence per column: a cell is
+    empty for None and str() of anything else, which for a Python float is its shortest
+    repr, exact on reading back. Each cell is converted once, as its row is written."""
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError("need one column per header name, all of one length")
+    cells = [("" if v is None else str(v) for v in column) for column in columns]
+    row = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(["" if v is None else str(v) for v in row]) + "\n")
+        fh.writelines(map(row.format, *cells))
 
 
 def save_autoencoder(model: AutoencoderModel, path, metadata: dict | None = None) -> None:

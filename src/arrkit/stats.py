@@ -109,9 +109,12 @@ def paired_bootstrap(
     difference is <= 0. Resamples on which the metric is undefined (e.g. one-class label
     draws) are redrawn, with a hard cap on total draws.
 
-    Metric "r2" scores a resample from its row counts and four row sums; centering the target
-    on its full-sample mean keeps the one-pass total sum of squares accurate at log-RV's mean
-    near -15. Where that sum is not clearly positive, the rows are gathered and scored exactly.
+    Both built-in metrics score a resample from its row counts. Metric "r2" uses four row
+    sums; centering the target on its full-sample mean keeps the one-pass total sum of
+    squares accurate at log-RV's mean near -15. Where that sum is not clearly positive, the
+    rows are gathered and scored exactly. Metric "auroc" counts each class per tie group of
+    one sort of the scores (Mann-Whitney), bitwise `auroc` of the gathered rows. A callable
+    metric scores the gathered rows. Non-finite inputs, which would give p = 0, are refused.
     """
     fn = METRICS[metric] if isinstance(metric, str) else metric
     y = np.asarray(y_true)
@@ -119,6 +122,9 @@ def paired_bootstrap(
     b = np.asarray(pred_b)
     if not (len(y) == len(a) == len(b)):
         raise ValueError("shape mismatch")
+    for name, v in (("y_true", y), ("pred_a", a), ("pred_b", b)):
+        if not np.isfinite(np.asarray(v, dtype=np.float64)).all():
+            raise ValueError(f"non-finite values in {name}")
     if n_resamples < 1:
         raise ValueError("n_resamples must be positive")
     observed = float(fn(y, a)) - float(fn(y, b))
@@ -131,6 +137,11 @@ def paired_bootstrap(
             np.square(np.subtract(yf, pred, out=work), out=work).sum(1, out=row_sums[i])
         np.subtract(yf, yf.mean(), out=work).sum(1, out=row_sums[2])
         np.square(work, out=work).sum(1, out=row_sums[3])
+    elif metric == "auroc":
+        pos = y.ravel() == 1
+        width = pos.size // n  # scores per row; `auroc` pools them
+        pos_per_row = pos.reshape(n, width).sum(1)
+        sorted_a, sorted_b = (_tie_groups(s, pos, width) for s in (a, b))
     samples = np.empty(n_resamples)
     draws = 0
     max_draws = 20 * n_resamples
@@ -141,10 +152,18 @@ def paired_bootstrap(
         idx = rng.integers(0, n, size=n)
         draws += 1
         diff = None
+        counts = np.bincount(idx, minlength=n)
         if metric == "r2":
-            ss_a, ss_b, s_c, s_c2 = row_sums @ np.bincount(idx, minlength=n).astype(np.float64)
+            ss_a, ss_b, s_c, s_c2 = row_sums @ counts.astype(np.float64)
             ss_tot = s_c2 - s_c * s_c / yf.size
             diff = float((ss_b - ss_a) / ss_tot) if ss_tot > 1e-9 * s_c2 else None
+        elif metric == "auroc":
+            n_pos = int(counts @ pos_per_row)
+            pairs = n_pos * (n * width - n_pos)
+            if pairs == 0:  # one class: undefined, as `auroc` would raise
+                continue
+            diff = (_auroc_from_counts(counts, *sorted_a, pairs)
+                    - _auroc_from_counts(counts, *sorted_b, pairs))
         if diff is None:
             try:
                 diff = float(fn(y[idx], a[idx])) - float(fn(y[idx], b[idx]))
@@ -160,6 +179,25 @@ def paired_bootstrap(
         n_failing=n_failing,
         samples=samples,
     )
+
+
+def _tie_groups(scores, pos, width: int):
+    """Row and label of each score in sorted order, and the tie-group starts (as `rankdata`)."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    order = np.argsort(s, kind="stable")
+    ss = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], ss[1:] != ss[:-1])))
+    return order // width, pos[order], starts
+
+
+def _auroc_from_counts(counts, rows, pos, starts, pairs: int) -> float:
+    """U2 = sum_g P_g * (2 * N_<g + N_g), twice the rank-sum U exactly, over P * N pairs."""
+    c = counts[rows]
+    c_pos = np.where(pos, c, 0)
+    pos_g = np.add.reduceat(c_pos, starts)
+    neg_g = np.add.reduceat(c - c_pos, starts)
+    u2 = int(pos_g @ (2 * np.cumsum(neg_g) - neg_g))
+    return (u2 / 2) / pairs
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,38 @@ def test_the_tracer_installs():
     assert done.stdout.strip() == "installed", done.stderr
 
 
+_BOOTSTRAP_SPANS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from arrkit import pipeline, stats
+rng = np.random.default_rng(0)
+labels = (rng.random(200) < 0.3).astype(float)
+y = rng.normal(size=200)
+# the forecast cell's form, then the ae-vs-pca workload's r2 form, then metric as argument 3
+pipeline.paired_bootstrap(labels, labels + rng.normal(size=200), rng.normal(size=200),
+                          metric="auroc", seed=1)
+stats.paired_bootstrap(y, y + rng.normal(size=200), rng.normal(size=200),
+                       metric="r2", n_resamples=300, seed=1)
+pipeline.paired_bootstrap(labels, rng.normal(size=200), rng.normal(size=200), "auroc", 40, 2)
+print(sorted(s[0] for s in tracer.spans), tracer.counts["stats.bootstrap_resamples"])
+"""
+
+
+def test_the_tracer_times_both_bootstrap_metrics():
+    src = os.path.join(os.path.dirname(BENCHMARK), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _BOOTSTRAP_SPANS, BENCHMARK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    spans = "['stats.bootstrap_auroc', 'stats.bootstrap_auroc', 'stats.bootstrap_r2']"
+    assert done.stdout.strip() == f"{spans} {500 + 300 + 40}"
+
+
 def test_the_call_forms_of_the_workloads_and_selftest_still_work(tiny_panel):
     returns = log_returns(tiny_panel, 1)
     model = fit_pca(returns.select_sessions(0, 1).returns, 1)

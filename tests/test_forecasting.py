@@ -559,3 +559,72 @@ def test_default_grids_cover_all_families():
     assert set(FORECAST_GRIDS) == {"ridge", "logistic_l1", "gbdt", "mlp"}
     assert FORECAST_GRIDS["logistic_l1"]["c"] == (0.01, 0.1, 1.0, 10.0, 100.0)
     assert FORECAST_GRIDS["ridge"]["fit_intercept"] == (False, True)
+
+
+def test_cv_training_folds_are_the_rows_outside_each_block(monkeypatch):
+    """Each fold trains on the rows outside its validation block, in order: the indices of
+    np.setdiff1d(arange(n), block)."""
+    import arrkit.forecasting as forecasting
+
+    seen = []
+
+    def record(x, y, rng):
+        seen.append(x[:, 0].astype(np.int64))
+        return x, y
+
+    monkeypatch.setattr(forecasting, "oversample_minority", record)
+    for n, folds in ((60, 2), (61, 3), (47, 5)):
+        ds = _clf_dataset(n=n, seed=n)
+        ds = ForecastDataset(**{**ds.__dict__, "features": np.column_stack([np.arange(n), ds.features]),
+                                "feature_names": ("row", *ds.feature_names)})
+        seen.clear()
+        random_search_cv(ds, "logistic_l1", grid={"c": (1.0,)}, iterations=1, folds=folds, seed=0)
+        blocks = chronological_folds(n, folds)
+        assert len(seen) == folds + 1  # one per fold, then the refit on every row
+        for tr, block in zip(seen, blocks):
+            np.testing.assert_array_equal(tr, np.setdiff1d(np.arange(n), block))
+        np.testing.assert_array_equal(seen[-1], np.arange(n))
+
+
+@pytest.mark.parametrize("labels", [
+    [0.0, 1.0, 1.0], [0, 1, 0], [True, False, True], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0],
+    [0.0, 2.0, 1.0], [-1.0, 1.0, 0.0], [0.5, 1.0, 0.0], [np.nan, 1.0, 0.0], [-0.0, 1.0, 0.0],
+])
+def test_logistic_label_check_accepts_exactly_zero_and_one(labels):
+    y = np.asarray(labels, dtype=np.float64)
+    x = np.arange(6.0).reshape(3, 2)
+    if set(np.unique(y)) - {0.0, 1.0}:  # the rule before: any label outside {0, 1}
+        with pytest.raises(ValueError, match="^labels must be 0/1$"):
+            fit_logistic_l1(x, y, c=1.0)
+    else:
+        fit_logistic_l1(x, y, c=1.0)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("which", ["pred_a", "pred_b"])
+def test_forecast_cell_fails_on_non_finite_predictions(monkeypatch, task, which):
+    """A model that predicts NaN ends its cell failed, not with the strongest p-value."""
+    import types
+
+    import arrkit.pipeline as pipeline
+
+    ds = _clf_dataset() if task == "classification" else _reg_dataset()
+    train = pipeline._subset_dataset(ds, np.arange(30))
+    test = pipeline._subset_dataset(ds, np.arange(30, len(ds.target)))
+    calls = []
+
+    def search(dataset, family, **kwargs):
+        calls.append(family)
+        preds = np.full(len(test.target), 0.5)
+        if (len(calls) == 1) == (which == "pred_a"):  # with_arr's search comes first
+            preds[3] = np.nan
+        model = types.SimpleNamespace(predict=lambda features: preds)
+        return types.SimpleNamespace(model=model, spec=types.SimpleNamespace(params={}), best_score=0.0)
+
+    monkeypatch.setattr(pipeline, "random_search_cv", search)
+    family = "logistic_l1" if task == "classification" else "ridge"
+    splits = {True: (train, test), False: (train, test)}
+    row = pipeline._forecast_cell((FIVE_MIN, task, family, splits, 1, 2, 0, 0))
+    assert row["status"] == "failed"
+    assert row["reason"] == f"non-finite values in {which}"
+    assert "p_value" not in row

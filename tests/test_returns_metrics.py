@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrkit.market_data import (
@@ -432,12 +432,40 @@ def test_crash_label_invariant_enforced():
 # winsorize
 
 
-def test_winsorize_percentile_oracle(rng):
+_WINSOR_LEVELS = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 2000),
+    st.integers(1, len(_WINSOR_LEVELS)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.01, 0.5]),
+    st.floats(0.0, 1.0) | st.sampled_from([0.5, 0.99, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 0.0, 0.0, 1.0, 0)
+@example(500, 1, 1.0, 0.01, 0.99, 0)
+@example(40, 2, 0.0, 0.05, 0.5, 3)  # only +-0.0: the bound's sign must match too
+def test_winsorize_percentile_oracle(n, n_levels, continuous_share, lower, upper, seed):
+    """Bitwise np.percentile's bounds, on ties, +-0.0, +-inf and NaN alike."""
+    if not lower < upper:
+        lower, upper = (0.0, 1.0) if lower == upper else (upper, lower)
+    rng = np.random.default_rng(seed)
+    x = rng.choice(_WINSOR_LEVELS[:n_levels], size=n)
+    x = np.where(rng.random(n) < continuous_share, rng.standard_normal(n), x)
+    with np.errstate(invalid="ignore"):  # inf - inf in np.percentile's interpolation
+        lo, hi = np.percentile(x, [100.0 * lower, 100.0 * upper])
+        out = winsorize(x, lower, upper)
+    want = np.clip(x, lo, hi)
+    assert np.array_equal(np.isnan(out), np.isnan(want))
+    assert out[~np.isnan(out)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+def test_winsorize_full_range_is_identity(rng):
     x = rng.standard_normal(500)
     out = winsorize(x, 0.01, 0.99)
-    lo, hi = np.percentile(x, [1.0, 99.0])
-    assert np.array_equal(out, np.clip(x, lo, hi))
-    assert np.array_equal(winsorize(out, 0.0, 1.0), out)  # full range is identity
+    assert np.array_equal(winsorize(out, 0.0, 1.0), out)
 
 
 def test_winsorize_validates_bounds():

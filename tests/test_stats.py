@@ -307,6 +307,103 @@ def test_bootstrap_r2_from_row_counts_redraws_constant_target_resamples():
     assert np.all(np.isfinite(res.samples))
 
 
+def _auroc_same_as_gathering(labels, a, b, n_resamples, seed):
+    """metric="auroc" scores resamples from row counts against one sort of each model's
+    scores; `auroc` as a callable gathers the rows and ranks them: the bits must agree."""
+    fast = paired_bootstrap(labels, a, b, metric="auroc", n_resamples=n_resamples, seed=seed)
+    slow = paired_bootstrap(labels, a, b, metric=auroc, n_resamples=n_resamples, seed=seed)
+    assert fast.observed_diff == slow.observed_diff
+    assert fast.n_failing == slow.n_failing and fast.p_value == slow.p_value
+    np.testing.assert_array_equal(fast.samples, slow.samples)
+    assert fast.samples.tobytes() == slow.samples.tobytes()  # -0.0 and 0.0 apart
+    return fast
+
+
+# finite levels only: the bootstrap refuses non-finite scores; +-0.0 and +-5e-324 must tie
+# or not exactly as `rankdata` ties them
+_LEVELS = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 300),
+    st.integers(1, len(_LEVELS)),
+    st.sampled_from([0.02, 0.1, 0.5, 0.9]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 1, 0.5, 0.0, 0)
+def test_bootstrap_auroc_from_row_counts_is_bitwise_the_gathered_auroc(
+    n, n_levels, positive_rate, continuous_share, seed
+):
+    rng = np.random.default_rng(seed)
+
+    def scores():  # tie-prone levels, some rows replaced by continuous draws
+        s = rng.choice(_LEVELS[:n_levels], size=n)
+        return np.where(rng.random(n) < continuous_share, rng.normal(size=n), s)
+
+    labels = (rng.random(n) < positive_rate).astype(np.float64)
+    if labels.min() == labels.max():  # both classes in the full sample
+        labels[0] = 1.0 - labels[0]
+    _auroc_same_as_gathering(labels, scores(), scores(), n_resamples=40, seed=seed)
+
+
+def test_bootstrap_auroc_from_row_counts_redraws_rare_positive_resamples():
+    rng = np.random.default_rng(21)
+    labels = np.zeros(30)
+    labels[[4, 17]] = 1.0
+    a = np.round(labels + rng.normal(size=30), 1)  # rounded: ties within and across classes
+    b = np.round(rng.normal(size=30), 1)
+    seed, n_resamples = 3, 300
+    replay = np.random.default_rng(seed)
+    draws = [replay.integers(0, 30, size=30) for _ in range(n_resamples)]
+    assert any(labels[idx].max() == 0.0 for idx in draws)  # some draws are redrawn
+    res = _auroc_same_as_gathering(labels, a, b, n_resamples, seed)
+    assert 0 < res.n_failing < n_resamples
+
+
+def test_bootstrap_auroc_from_row_counts_all_equal_scores():
+    labels = np.array([0.0, 1.0] * 10)
+    res = _auroc_same_as_gathering(labels, np.full(20, 0.3), np.full(20, -0.0), 50, 1)
+    assert res.observed_diff == 0.0 and np.all(res.samples == 0.0)
+
+
+def test_bootstrap_auroc_from_row_counts_exhausts_draws_like_the_gathered_path():
+    labels, a, b = np.array([1.0, 0.0]), np.array([0.2, 0.1]), np.array([0.1, 0.2])
+    seed = 2610746  # found by search: its first 20 draws of two rows repeat one row
+    replay = np.random.default_rng(seed)
+    assert all(len(set(replay.integers(0, 2, size=2).tolist())) == 1 for _ in range(20))
+    for metric in ("auroc", auroc):
+        with pytest.raises(ValueError, match="^too many degenerate resamples; metric rarely defined$"):
+            paired_bootstrap(labels, a, b, metric=metric, n_resamples=1, seed=seed)
+    # two resamples allow 40 draws, and two of the last 20 find both classes
+    _auroc_same_as_gathering(labels, a, b, n_resamples=2, seed=seed)
+
+
+def test_bootstrap_auroc_from_row_counts_at_a_test_year_of_windows():
+    rng = np.random.default_rng(22)
+    n = 20_000
+    labels = (rng.random(n) < 0.05).astype(np.float64)
+    a = np.round(labels * 0.3 + rng.random(n), 2)  # about 130 levels: heavy ties
+    b = np.round(rng.random(n), 2)
+    res = _auroc_same_as_gathering(labels, a, b, n_resamples=20, seed=5)
+    assert res.observed_diff > 0
+
+
+@pytest.mark.parametrize("metric", ["r2", "auroc"])
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bootstrap_refuses_non_finite_inputs(metric, which, bad):
+    rng = np.random.default_rng(23)
+    y = (rng.random(100) < 0.3).astype(np.float64)
+    args = [y, y + rng.normal(size=100), rng.normal(size=100)]
+    args[which] = args[which].copy()
+    args[which][37] = bad
+    name = ("y_true", "pred_a", "pred_b")[which]
+    with pytest.raises(ValueError, match=f"^non-finite values in {name}$"):
+        paired_bootstrap(*args, metric=metric, n_resamples=50, seed=0)
+
+
 def test_p_string_mid_range_formatting():
     res = BootstrapResult(0.1, 0.124, 500, 62, np.zeros(500))
     assert res.p_string() == "p=0.124"
