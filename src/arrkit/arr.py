@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ONE_WEEK, check_blocks
+from .market_data import check_blocks
 from .pca import PcaModel, pca_reconstruct
 from .returns_metrics import ReturnsPanel, _check_interval, ewm_stats, five_minute_sums, window_sums
 
@@ -59,7 +59,6 @@ class ArrSeries:
     source: str
     numerators: np.ndarray | None = None
     denominators: np.ndarray | None = None
-    rolling: bool = False
 
     def __post_init__(self):
         for name in ("timestamps", "values", "numerators", "denominators"):
@@ -103,46 +102,36 @@ def squared_error(result: ReconstructionResult) -> np.ndarray:
     return np.einsum("ij,ij->i", err, err)
 
 
-def compute_arr(
-    result: ReconstructionResult, interval: int, *, rolling_weekly: bool = False
-) -> ArrSeries:
+def compute_arr(result: ReconstructionResult, interval: int) -> ArrSeries:
     """Reconstruction ratio over every aligned window of the given length."""
     sq_ret = np.einsum("ij,ij->i", result.actual, result.actual)
     fives = [five_minute_sums(v) for v in (squared_error(result), sq_ret)]
-    return ratio_series(*fives, result.opens, interval, result.source, rolling_weekly=rolling_weekly)
+    return ratio_series(*fives, result.opens, interval, result.source)
 
 
-def ratio_series(
-    err_fives, ret_fives, opens, interval: int, source: str, *, rolling_weekly: bool = False
-) -> ArrSeries:
+def ratio_series(err_fives, ret_fives, opens, interval: int, source: str) -> ArrSeries:
     """The ratio over every aligned window from the five-minute sums of the per-row squared
     errors and squared returns of the sessions opening at `opens`. Windows whose denominator
     is zero are dropped (the ratio is undefined when nothing moved)."""
-    stamps, num, _ = window_sums(err_fives, opens, interval, rolling_weekly=rolling_weekly)
-    _, den, _ = window_sums(ret_fives, opens, interval, rolling_weekly=rolling_weekly)
+    stamps, num = window_sums(err_fives, opens, interval)
+    _, den = window_sums(ret_fives, opens, interval)
     keep = den > 0
     num, den = num[keep], den[keep]
-    return ArrSeries(stamps[keep], num / den, interval, source, num, den, rolling_weekly)
-
-
-def steps_per_session(interval: int, rolling: bool = False) -> float:
-    """Observations of a windowed series per 6.5-hour session."""
-    per = _check_interval(interval)
-    return 1.0 if rolling and interval == ONE_WEEK else float(per)
+    return ArrSeries(stamps[keep], num / den, interval, source, num, den)
 
 
 def smooth_arr(series: ArrSeries, half_life_days: float) -> ArrSeries:
-    """EWMA-smoothed copy; the half-life is given in sessions and converted to steps."""
+    """EWMA-smoothed copy; the half-life is given in sessions and converted to steps (the
+    windows that end per session)."""
     if half_life_days <= 0:
         raise ValueError("half_life_days must be positive")
-    steps = half_life_days * steps_per_session(series.interval, series.rolling)
+    steps = half_life_days * _check_interval(series.interval)
     mean, _ = ewm_stats(series.values, steps)
     return ArrSeries(
         timestamps=series.timestamps,
         values=mean,
         interval=series.interval,
         source=series.source,
-        rolling=series.rolling,
     )
 
 

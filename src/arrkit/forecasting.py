@@ -86,9 +86,9 @@ def build_features(
     """Assemble the forecasting dataset for one horizon.
 
     The anchor timeline is the horizon-frequency log RV series. The regression target is
-    the next observation of that series (for the rolling weekly series, the observation
-    five sessions ahead, so target windows are disjoint from the anchor). Classification
-    swaps the target for the crash label at the target stamp.
+    the next observation of that series; a week rolls one session at a time, so a weekly
+    target is the disjoint week five stamps ahead. Classification swaps the target for the
+    crash label at the target stamp.
 
     Rows must carry every RV *and* ratio feature whether or not include_arr is set, so
     the with/without datasets stay row-aligned for paired comparison.
@@ -99,9 +99,7 @@ def build_features(
     if horizon not in FREQUENCIES:
         raise ValueError(f"unsupported horizon {horizon}")
     anchor = log_rv[horizon]
-    # rolling weekly anchors advance one session at a time; the target must be the next
-    # *disjoint* week, i.e. five stamps ahead
-    step = 5 if horizon == ONE_WEEK and _is_rolling(anchor) else 1
+    step = 5 if horizon == ONE_WEEK else 1
     n = len(anchor.values) - step
     if n <= 0:
         raise ValueError("empty forecast dataset: anchor series too short")
@@ -155,13 +153,6 @@ def build_features(
         include_arr=include_arr,
         task=task,
     )
-
-
-def _is_rolling(series: RiskSeries) -> bool:
-    """Weekly series with stamps one session apart are rolling windows."""
-    if len(series.timestamps) < 2:
-        return False
-    return int(np.min(np.diff(series.timestamps))) < ONE_WEEK * 2
 
 
 def _exact_lookup(ts: np.ndarray, values: np.ndarray, at: np.ndarray):
@@ -483,13 +474,12 @@ def fit_mlp(
     alpha_l2: float,
     learning_rate_init: float,
     max_iter: int = 500,
-    early_stopping: bool = True,
     seed: int | np.random.Generator = 0,
 ) -> MlpModel:
-    """ReLU hidden layer, linear or sigmoid output, Adam, optional early stopping.
+    """ReLU hidden layer, linear or sigmoid output, Adam, early stopping.
 
-    Features are standardized internally. With early stopping the last 10% of rows (the
-    most recent, respecting time order) form the validation split, patience 10 epochs.
+    Features are standardized internally. The last 10% of rows (the most recent,
+    respecting time order) form the early-stopping validation split, patience 10 epochs.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -504,20 +494,15 @@ def fit_mlp(
     net = DenseNet((x.shape[1], hidden_size, 1), ("relu", out_act))
     params = init_params(net, rng)
     spec = LossSpec("bce" if task == "classification" else "mse", l2_weight=alpha_l2)
-    if early_stopping:
-        cut = max(1, int(round(len(y) * 0.9)))
-        if cut == len(y):
-            cut = len(y) - 1
-        z_tr, y_tr, z_val, y_val = z[:cut], y[:cut], z[cut:], y[cut:]
-        patience = 10
-    else:
-        z_tr, y_tr, z_val, y_val = z, y, z, y
-        patience = max_iter
+    cut = max(1, int(round(len(y) * 0.9)))
+    if cut == len(y):
+        cut = len(y) - 1
+    z_tr, y_tr, z_val, y_val = z[:cut], y[:cut], z[cut:], y[cut:]
     cfg = TrainConfig(
         learning_rate=learning_rate_init,
         batch_size=min(200, len(y_tr)),
         max_epochs=max_iter,
-        patience=patience,
+        patience=10,
     )
     best, _ = train_dense_net(net, params, z_tr, y_tr[:, None], z_val, y_val[:, None], spec, cfg, rng)
     return MlpModel(net=net, params=best, x_mean=x_mean, x_scale=x_scale, task=task)

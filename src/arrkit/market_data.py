@@ -26,13 +26,14 @@ FIVE_MIN = 300
 ONE_HOUR = 3600
 ONE_DAY = SESSION_SECONDS
 ONE_WEEK = 5 * SESSION_SECONDS
-# The supported windows: seconds -> (name, windows per session). A session holds six
-# whole hours (its last half hour belongs to no hourly window); a week spans five sessions.
+# The supported windows: seconds -> (name, windows ending per session). A session holds
+# six whole hours (its last half hour belongs to no hourly window); a week spans five
+# sessions and ends at every session close from the fifth.
 WINDOWS = {
     FIVE_MIN: ("5min", SESSION_SECONDS // FIVE_MIN),
     ONE_HOUR: ("1hour", SESSION_SECONDS // ONE_HOUR),
     ONE_DAY: ("1day", 1),
-    ONE_WEEK: ("1week", 0.2),
+    ONE_WEEK: ("1week", 1),
 }
 
 

@@ -27,7 +27,6 @@ from .forecasting import (
     random_search_cv,
 )
 from .market_data import (
-    ONE_WEEK,
     SESSION_SECONDS,
     SessionCalendar,
     TickPanel,
@@ -329,7 +328,6 @@ def read_arr_csv(path, interval: int, source: str) -> ArrSeries:
         values=np.array(values, dtype=np.float64),
         interval=interval,
         source=source,
-        rolling=interval == ONE_WEEK,
     )
 
 
@@ -360,9 +358,7 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
 
     for source, fives in zip(sources, err_fives):
         for freq in cfg.frequencies:
-            series = ratio_series(
-                fives, ret_fives, ticks.opens, freq, source, rolling_weekly=freq == ONE_WEEK
-            )
+            series = ratio_series(fives, ret_fives, ticks.opens, freq, source)
             name = arr_file_name(source, freq)
             _write_arr_segments_csv(series, segments_of(series), os.path.join(directory, name))
             outputs.append(name)
@@ -400,19 +396,18 @@ def _market_base(ticks: TickPanel) -> list:
 
 def _market_returns(ret_fives, opens, freq: int) -> RiskSeries:
     """The market's log returns over `freq` windows, summed from its five-minute sums."""
-    stamps, sums, _ = window_sums(ret_fives, opens, freq, rolling_weekly=freq == ONE_WEEK)
-    return RiskSeries(stamps, sums, "return", freq)
+    stamps, sums = window_sums(ret_fives, opens, freq)
+    return RiskSeries(stamps, sums, "return")
 
 
 def _metric_series(ticks: TickPanel, market, metric: str, freq: int):
-    (ret_fives, sq_fives), rolling = market, freq == ONE_WEEK
+    ret_fives, sq_fives = market
     if metric == "returns":
         series = _market_returns(ret_fives, ticks.opens, freq)
     elif metric == "log_rv":
-        series = realized_variance(sq_fives, ticks.opens, freq, rolling_weekly=rolling)
+        series = realized_variance(sq_fives, ticks.opens, freq)
     else:
-        stamps, prices = sample_price_series(ticks, freq, ticks.asset_ids[0], rolling_weekly=rolling)
-        series = drawdown(stamps, prices, freq)
+        series = drawdown(*sample_price_series(ticks, freq, ticks.asset_ids[0]))
     return series.timestamps, series.values
 
 
@@ -538,7 +533,7 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
 
     log_rv, arr = {}, {}
     for freq in FREQUENCIES:
-        log_rv[freq] = realized_variance(sq_fives, ticks.opens, freq, rolling_weekly=freq == ONE_WEEK)
+        log_rv[freq] = realized_variance(sq_fives, ticks.opens, freq)
         path = os.path.join(arr_dir, arr_file_name(source, freq))
         if not os.path.exists(path):
             raise StageError("cmd_arr outputs missing", details={"missing": [path]})

@@ -11,9 +11,10 @@ values into each session's 78 buckets, and `window_sums` builds every window fro
 so a stage holds no one-second array longer than a session. Windows have right
 edges at open + k*interval inside each session and never straddle sessions. A 6.5-hour
 session yields 78 five-minute windows, 6 complete hourly windows (the final 30 minutes
-belong to no hourly window) and one daily window; weekly windows span 5 sessions (rolling
-for analysis/features, non-overlapping for targets). Every coarse window is the sum of its
-5-minute window sums, so re-aggregating the 5-minute sums is exact, not approximate.
+belong to no hourly window) and one daily window; a week spans 5 sessions and ends at
+every session close from the fifth, so weeks roll one session at a time (a weekly
+forecast target is the disjoint week five stamps ahead). Every coarse window is the sum of
+its 5-minute window sums, so re-aggregating the 5-minute sums is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class RiskSeries:
     timestamps: np.ndarray
     values: np.ndarray
     kind: str  # one of RISK_KINDS
-    interval: int
 
     def __post_init__(self):
         if self.kind not in RISK_KINDS:
@@ -126,27 +126,24 @@ def five_minute_sums(values: np.ndarray) -> np.ndarray:
     return grid.reshape((n, SESSION_SECONDS // FIVE_MIN, FIVE_MIN) + tail).sum(axis=2)
 
 
-def window_sums(
-    fives: np.ndarray, opens: np.ndarray, window: int, *, rolling_weekly: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def window_sums(fives: np.ndarray, opens: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum five-minute sums over every aligned window of a supported length.
 
     fives is (S, 78[, N]): the `five_minute_sums` of the full sessions opening at `opens`.
-    Returns (stamps, sums, window_session) where stamps are window right-edge epochs and
-    window_session is the position in `opens` of the session the window ends in.
+    Returns (stamps, sums), stamps being the windows' right-edge epochs.
     """
     fives = np.asarray(fives, dtype=np.float64)
     n, per_day, tail = len(opens), SESSION_SECONDS // FIVE_MIN, fives.shape[2:]
     if n == 0 or fives.shape[:2] != (n, per_day):
         raise ValueError(f"expected the five-minute sums of {n} sessions, got shape {fives.shape}")
-    stamps, ends = _window_edges(opens, window, rolling_weekly)
+    stamps, ends = _window_edges(opens, window)
     if window == ONE_WEEK:
         flat = fives.reshape((n * per_day,) + tail)
         sums = np.array([flat[(e - 4) * per_day : (e + 1) * per_day].sum(axis=0) for e in ends])
     else:
         group, per = window // FIVE_MIN, WINDOWS[window][1]
         sums = fives[:, : per * group].reshape((n * per, group) + tail).sum(axis=1)
-    return stamps, sums, ends
+    return stamps, sums
 
 
 def session_five_minute_sums(ticks: TickPanel, per_second, columns=slice(None)) -> list:
@@ -158,7 +155,7 @@ def session_five_minute_sums(ticks: TickPanel, per_second, columns=slice(None)) 
     return [np.concatenate(per_session) for per_session in zip(*sums)]
 
 
-def _window_edges(opens, window, rolling_weekly):
+def _window_edges(opens, window):
     """Right-edge epochs of every window over sessions opening at `opens`, and the
     position of the session each window ends in."""
     per = _check_interval(window)
@@ -166,13 +163,13 @@ def _window_edges(opens, window, rolling_weekly):
     if window == ONE_WEEK:
         if n < 5:
             raise ValueError("interval larger than available data (need 5 sessions)")
-        ends = np.arange(4, n, 1 if rolling_weekly else 5)
+        ends = np.arange(4, n)
         return opens[ends] + ONE_DAY, ends
     return (opens[:, None] + window * np.arange(1, per + 1)).ravel(), np.repeat(np.arange(n), per)
 
 
-def _check_interval(window: int) -> float:
-    """Windows per session of a supported window length."""
+def _check_interval(window: int) -> int:
+    """Windows ending per session at a supported window length."""
     if window not in WINDOWS:
         raise ValueError(f"misaligned interval {window}: not 5 minutes, 1 hour, 1 day or 1 week")
     return WINDOWS[window][1]
@@ -201,37 +198,33 @@ def log_returns(panel: TickPanel, interval: int = 1) -> ReturnsPanel:
 # realized variance
 
 
-def realized_variance(
-    squared_fives: np.ndarray, opens: np.ndarray, window: int, *, rolling_weekly: bool = False
-) -> RiskSeries:
+def realized_variance(squared_fives: np.ndarray, opens: np.ndarray, window: int) -> RiskSeries:
     """Log RV series from the five-minute sums of squared returns: RV(t, dt) = sum of r^2
     over (t-dt, t], logged, with RV=0 windows absent."""
-    stamps, rv, _ = window_sums(squared_fives, opens, window, rolling_weekly=rolling_weekly)
+    stamps, rv = window_sums(squared_fives, opens, window)
     keep = rv > 0.0
-    return RiskSeries(stamps[keep], np.log(rv[keep]), "log_rv", window)
+    return RiskSeries(stamps[keep], np.log(rv[keep]), "log_rv")
 
 
 # ---------------------------------------------------------------------------
 # drawdown
 
 
-def drawdown(timestamps: np.ndarray, prices: np.ndarray, interval: int = 1) -> RiskSeries:
+def drawdown(timestamps: np.ndarray, prices: np.ndarray) -> RiskSeries:
     """DD(t) = 1 - p(t)/max_{s<=t} p(s), running max from the start of the series."""
     prices = np.asarray(prices, dtype=np.float64)
     if np.any(prices <= 0):
         raise ValueError("non-positive price")
     dd = 1.0 - prices / np.maximum.accumulate(prices)
-    return RiskSeries(np.asarray(timestamps), dd, "drawdown", interval)
+    return RiskSeries(np.asarray(timestamps), dd, "drawdown")
 
 
-def sample_price_series(
-    panel: TickPanel, interval: int, asset_id: str, *, rolling_weekly: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_price_series(panel: TickPanel, interval: int, asset_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Prices at window right edges (the final print of each window) for one asset."""
     col = panel.prices[:, panel.asset_ids.index(asset_id)]
     if len(col) != len(panel.opens) * SESSION_SECONDS:
         raise ValueError("incomplete session: expected a full 6.5-hour grid")
-    stamps, ends = _window_edges(panel.opens, interval, rolling_weekly)
+    stamps, ends = _window_edges(panel.opens, interval)
     # the price at or before each edge: an edge at the close takes the session's last second
     offsets = np.minimum(stamps - panel.opens[ends], SESSION_SECONDS - 1)
     return stamps, col[ends * SESSION_SECONDS + offsets]

@@ -71,7 +71,7 @@ def traced_peak(fn):
     return result, peak
 
 
-def whole_panel_window_sums(values, opens, window, rolling_weekly=False):
+def whole_panel_window_sums(values, opens, window):
     """Oracle: the whole-panel window sums that built every window straight from the
     one-second values of all sessions at once."""
     values = np.asarray(values, dtype=np.float64)
@@ -81,7 +81,7 @@ def whole_panel_window_sums(values, opens, window, rolling_weekly=False):
     if window == ONE_WEEK:
         if n < 5:
             raise ValueError("interval larger than available data (need 5 sessions)")
-        ends = np.arange(4, n, 1 if rolling_weekly else 5)
+        ends = np.arange(4, n)
         stamps = opens[ends] + ONE_DAY
     else:
         per = SESSION_SECONDS // window
@@ -100,13 +100,13 @@ def whole_panel_window_sums(values, opens, window, rolling_weekly=False):
     return stamps, sums
 
 
-def whole_panel_ratio(result, interval, rolling_weekly=False):
+def whole_panel_ratio(result, interval):
     """Oracle: the ratio's stamps, numerators and denominators from whole-panel window sums
     of a reconstruction's per-row squared errors and squared returns."""
     err = result.actual - result.reconstructed
     sq_err = np.einsum("ij,ij->i", err, err)
     sq_act = np.einsum("ij,ij->i", result.actual, result.actual)
-    stamps, num = whole_panel_window_sums(sq_err, result.opens, interval, rolling_weekly)
-    _, den = whole_panel_window_sums(sq_act, result.opens, interval, rolling_weekly)
+    stamps, num = whole_panel_window_sums(sq_err, result.opens, interval)
+    _, den = whole_panel_window_sums(sq_act, result.opens, interval)
     keep = den > 0
     return stamps[keep], num[keep], den[keep]

@@ -21,7 +21,6 @@ from arrkit.market_data import (
     FIVE_MIN,
     ONE_DAY,
     ONE_HOUR,
-    ONE_WEEK,
     SESSION_SECONDS,
     CoMovementSpec,
     RegimeSpec,
@@ -257,13 +256,10 @@ def _forecast_rep(seed: int, vol_feedback: float, n_sessions: int = 14, fit_end:
     returns = log_returns(panel, 1)
     pca = fit_pca(returns.select_sessions(0, fit_end).returns, 1)
     recon = pca_reconstruction(pca, returns)
-    arr = {f: compute_arr(recon, f, rolling_weekly=f == ONE_WEEK) for f in FREQUENCIES}
+    arr = {f: compute_arr(recon, f) for f in FREQUENCIES}
     market = returns.returns[:, 0]
     squared = five_minute_sums(market * market)
-    log_rv = {
-        f: realized_variance(squared, returns.opens, f, rolling_weekly=f == ONE_WEEK)
-        for f in FREQUENCIES
-    }
+    log_rv = {f: realized_variance(squared, returns.opens, f) for f in FREQUENCIES}
     datasets = {flag: build_features(log_rv, arr, FIVE_MIN, flag) for flag in (True, False)}
 
     opens = np.array([o for _, o, _ in calendar.sessions])
@@ -326,7 +322,6 @@ def test_07_crash_label_frequency_band(verdict):
         timestamps=np.arange(n, dtype=np.int64) * 86400 + 57600,
         values=rng.standard_normal(n),
         kind="return",
-        interval=ONE_DAY,
     )
     labels = crash_labels(series, half_life=10.0, threshold=-1.5)
     freq = float(np.mean(labels.labels))
@@ -448,10 +443,10 @@ def test_09_window_reaggregation_and_rv_additivity(verdict):
             assert fives.timestamps[block.stop - 1] == series.timestamps[w]
 
     squared = five_minute_sums(x[:, 0] * x[:, 0])  # asset "a"
-    _, rv_five, _ = window_sums(squared, opens, FIVE_MIN)
+    _, rv_five = window_sums(squared, opens, FIVE_MIN)
     additivity_exact = True
     for coarse in (ONE_HOUR, ONE_DAY):
-        _, rv_coarse, _ = window_sums(squared, opens, coarse)
+        _, rv_coarse = window_sums(squared, opens, coarse)
         rebuilt = np.array([
             np.sum(rv_five[_block(coarse, w)]) for w in range(len(rv_coarse))
         ])

@@ -1,8 +1,11 @@
 """Reconstruction-ratio series: window oracles, re-aggregation, smoothing, alignment."""
 
+import os
+
 import numpy as np
 import pytest
 
+from arrkit import pipeline
 from arrkit.arr import (
     ArrSeries,
     ReconstructionResult,
@@ -11,13 +14,15 @@ from arrkit.arr import (
     pca_reconstruction,
     ratio_series,
     smooth_arr,
-    steps_per_session,
+    squared_error,
 )
+from arrkit.config import RunConfig, SplitSpec
 from arrkit.market_data import FIVE_MIN, ONE_DAY, ONE_HOUR, ONE_WEEK, SESSION_SECONDS
 from arrkit.pca import fit_pca
-from arrkit.returns_metrics import ReturnsPanel, ewm_stats, five_minute_sums
+from arrkit.returns_metrics import ReturnsPanel, ewm_stats, five_minute_sums, log_returns
+from arrkit.serialization import load_pca
 
-from conftest import whole_panel_ratio
+from conftest import comovement_config, whole_panel_ratio
 
 OPEN_OFFSET = 34200
 PER_SESSION = SESSION_SECONDS - 1  # 1-second return rows per session
@@ -131,45 +136,46 @@ def test_coarse_ratios_are_ratios_of_summed_fine_parts():
 
 
 def test_weekly_windows_rolling_and_non_overlapping():
-    res = _result(n_sessions=7, seed=5)
+    """A week ends at every session close from the fifth; the week five stamps ahead (a
+    weekly target) covers the five sessions after its anchor week, disjoint from it."""
+    res = _result(n_sessions=10, seed=5)
     five = compute_arr(res, FIVE_MIN)
     daily = compute_arr(res, ONE_DAY)
     per_day = SESSION_SECONDS // FIVE_MIN
-    rolling = compute_arr(res, ONE_WEEK, rolling_weekly=True)
-    assert rolling.rolling is True
-    np.testing.assert_array_equal(rolling.timestamps, daily.timestamps[4:])
-    for i, s in enumerate(range(4, 7)):
+    weekly = compute_arr(res, ONE_WEEK)
+    np.testing.assert_array_equal(weekly.timestamps, daily.timestamps[4:])
+    for i, s in enumerate(range(4, 10)):
         num = np.sum(five.numerators[(s - 4) * per_day : (s + 1) * per_day])
-        assert rolling.numerators[i] == num
-    blocked = compute_arr(res, ONE_WEEK)
-    assert list(blocked.timestamps) == [daily.timestamps[4]]
-    assert blocked.numerators[0] == np.sum(five.numerators[: 5 * per_day])
+        assert weekly.numerators[i] == num
+    assert weekly.numerators[5] == np.sum(five.numerators[5 * per_day :])
 
 
 @pytest.mark.parametrize(
-    "interval,rolling",
-    [(FIVE_MIN, False), (ONE_HOUR, False), (ONE_DAY, False), (ONE_WEEK, False), (ONE_WEEK, True)],
+    "interval,overlapping",
+    [(FIVE_MIN, False), (ONE_HOUR, False), (ONE_DAY, False), (ONE_WEEK, True)],
 )
-def test_ratio_matches_the_whole_panel_oracle_bitwise(interval, rolling):
+def test_ratio_matches_the_whole_panel_oracle_bitwise(interval, overlapping):
     """compute_arr, and the ratio built from five-minute sums made one session at a time
-    (as the arr stage builds it), both equal the whole-panel ratio bit for bit."""
+    (as the arr stage builds it), both equal the whole-panel ratio bit for bit. Only the
+    weeks overlap: one ends at every session close, so their lengths add up to more than
+    the panel's six sessions."""
     res = _result(n_sessions=6, n_assets=3, seed=8)
     actual = np.array(res.actual, copy=True)
     actual[PER_SESSION + 600 : PER_SESSION + 900] = 0.0  # a zero-denominator window
     res = ReconstructionResult(res.opens, actual, res.reconstructed, res.asset_ids, "pca")
-    stamps, num, den = whole_panel_ratio(res, interval, rolling)
+    stamps, num, den = whole_panel_ratio(res, interval)
     rows = [slice(s * PER_SESSION, (s + 1) * PER_SESSION) for s in range(6)]
     per_session = [
         np.concatenate([five_minute_sums(np.einsum("ij,ij->i", x[r], x[r])) for r in rows])
         for x in (res.actual - res.reconstructed, res.actual)
     ]
-    for got in (compute_arr(res, interval, rolling_weekly=rolling),
-                ratio_series(*per_session, res.opens, interval, "pca", rolling_weekly=rolling)):
+    for got in (compute_arr(res, interval), ratio_series(*per_session, res.opens, interval, "pca")):
         assert np.array_equal(got.timestamps, stamps)
         assert got.numerators.tobytes() == num.tobytes()
         assert got.denominators.tobytes() == den.tobytes()
         assert got.values.tobytes() == (num / den).tobytes()
-        assert got.rolling is rolling and got.source == "pca"
+        assert got.source == "pca"
+    assert (len(stamps) * interval > 6 * SESSION_SECONDS) is overlapping
 
 
 def test_pca_reconstruction_wraps_model_output():
@@ -192,13 +198,44 @@ def test_pca_reconstruction_wraps_model_output():
 
 
 def test_steps_per_session_table():
-    assert steps_per_session(FIVE_MIN) == 78.0
-    assert steps_per_session(ONE_HOUR) == 6.0
-    assert steps_per_session(ONE_DAY) == 1.0
-    assert steps_per_session(ONE_WEEK) == 0.2
-    assert steps_per_session(ONE_WEEK, rolling=True) == 1.0
+    """smooth_arr turns a half-life in sessions into steps: the windows that end per
+    session, one for a day and one for a week."""
+    res = _result(n_sessions=6, seed=9)
+    for interval, steps in ((FIVE_MIN, 78), (ONE_HOUR, 6), (ONE_DAY, 1), (ONE_WEEK, 1)):
+        series = compute_arr(res, interval)
+        expected, _ = ewm_stats(series.values, 2.0 * steps)
+        assert smooth_arr(series, 2.0).values.tobytes() == expected.tobytes()
+    t = np.arange(1, 6, dtype=np.int64)
     with pytest.raises(ValueError, match="misaligned"):
-        steps_per_session(7)
+        smooth_arr(ArrSeries(t, np.full(5, 0.5), 7, "pca"), 1.0)
+
+
+def test_the_weekly_call_forms_give_the_arr_stage_week(tmp_path):
+    """compute_arr and ratio_series at one week give the arr stage's `pca_1week.csv`: one
+    stamp per session close from the fifth, smoothed at one step per session."""
+    out, n = str(tmp_path / "run"), 7
+    cfg = RunConfig(
+        data_source="synthetic", splits=SplitSpec((0, n - 3), (n - 3, n - 2), (n - 2, n)),
+        synthetic=comovement_config(n_assets=5, n_sessions=n, seed=3), models="pca",
+        output_dir=out,
+    )
+    pipeline.cmd_generate(cfg, out)
+    pipeline.cmd_train(cfg, out, threads=1)
+    pipeline.cmd_arr(cfg, out)
+    ticks, _ = pipeline.load_panel(cfg, out)
+    model, _ = load_pca(os.path.join(out, "models", "pca.json"))
+    recon = pca_reconstruction(model, log_returns(ticks, 1))
+    sq_ret = np.einsum("ij,ij->i", recon.actual, recon.actual)
+    fives = [five_minute_sums(v) for v in (squared_error(recon), sq_ret)]
+    stage = pipeline.read_arr_csv(
+        os.path.join(out, "arr", pipeline.arr_file_name("pca", ONE_WEEK)), ONE_WEEK, "pca"
+    )
+    np.testing.assert_array_equal(stage.timestamps, ticks.opens[4:] + ONE_DAY)
+    for got in (compute_arr(recon, ONE_WEEK), ratio_series(*fives, ticks.opens, ONE_WEEK, "pca")):
+        assert np.array_equal(got.timestamps, stage.timestamps)
+        assert got.values.tobytes() == stage.values.tobytes()
+        expected, _ = ewm_stats(got.values, 1.5)
+        assert smooth_arr(got, 1.5).values.tobytes() == expected.tobytes()
 
 
 def test_smoothing_is_ewma_with_session_scaled_half_life():

@@ -25,7 +25,7 @@ from arrkit.returns_metrics import CrashLabels, RiskSeries, crash_labels
 # as-of lookup result can be read off directly
 
 
-def _stamp_series(n_sessions, interval, rolling=False):
+def _stamp_series(n_sessions, interval):
     if interval == FIVE_MIN:
         offs = np.arange(1, 79) * FIVE_MIN
     elif interval == ONE_HOUR:
@@ -33,20 +33,19 @@ def _stamp_series(n_sessions, interval, rolling=False):
     elif interval == ONE_DAY:
         offs = np.array([23400])
     else:
-        days = np.arange(4, n_sessions) if rolling else np.arange(4, n_sessions, 5)
-        return np.array([d * 86400 + 34200 + 23400 for d in days], dtype=np.int64)
+        return np.arange(4, n_sessions, dtype=np.int64) * 86400 + 34200 + 23400
     return np.concatenate(
         [d * 86400 + 34200 + offs for d in range(n_sessions)]
     ).astype(np.int64)
 
 
-def _series_maps(n_sessions=12, rolling_weekly=False):
+def _series_maps(n_sessions=12):
     rv, arr = {}, {}
     for d in (FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK):
-        ts = _stamp_series(n_sessions, d, rolling=rolling_weekly and d == ONE_WEEK)
+        ts = _stamp_series(n_sessions, d)
         vals = ts.astype(np.float64)
-        rv[d] = RiskSeries(ts, vals, "log_rv", d)
-        arr[d] = ArrSeries(ts, vals, d, "pca", rolling=rolling_weekly and d == ONE_WEEK)
+        rv[d] = RiskSeries(ts, vals, "log_rv")
+        arr[d] = ArrSeries(ts, vals, d, "pca")
     return rv, arr
 
 
@@ -95,7 +94,7 @@ def test_paired_datasets_share_rows_regardless_of_flag():
 
 def test_rows_require_arr_coverage_even_when_excluded():
     rv, arr = _series_maps()
-    # delay weekly ratio coverage by five sessions; both datasets must lose those rows
+    # delay weekly ratio coverage by one session; both datasets must lose those rows
     wk = arr[ONE_WEEK]
     arr_late = dict(arr)
     arr_late[ONE_WEEK] = ArrSeries(wk.timestamps[1:], wk.values[1:], ONE_WEEK, "pca")
@@ -109,17 +108,11 @@ def test_rows_require_arr_coverage_even_when_excluded():
 
 
 def test_rolling_weekly_anchor_targets_the_disjoint_week():
-    rv, arr = _series_maps(n_sessions=16, rolling_weekly=True)
+    rv, arr = _series_maps(n_sessions=16)
     ds = build_features(rv, arr, ONE_WEEK, include_arr=False)
     anchor = rv[ONE_WEEK]
     pos = np.searchsorted(anchor.timestamps, ds.feature_times)
     np.testing.assert_array_equal(ds.target_times, anchor.timestamps[pos + 5])
-    blocked_rv, blocked_arr = _series_maps(n_sessions=16, rolling_weekly=False)
-    blocked = build_features(blocked_rv, blocked_arr, ONE_WEEK, include_arr=False)
-    bpos = np.searchsorted(blocked_rv[ONE_WEEK].timestamps, blocked.feature_times)
-    np.testing.assert_array_equal(
-        blocked.target_times, blocked_rv[ONE_WEEK].timestamps[bpos + 1]
-    )
 
 
 def test_classification_target_is_exact_stamp_crash_label():
@@ -140,7 +133,7 @@ def test_classification_target_is_exact_stamp_crash_label():
 def test_empty_crash_labels_name_the_warm_up():
     rv, arr = _series_maps(n_sessions=16)
     daily = rv[ONE_DAY].timestamps
-    market = RiskSeries(daily, np.random.default_rng(0).normal(size=len(daily)), "return", ONE_DAY)
+    market = RiskSeries(daily, np.random.default_rng(0).normal(size=len(daily)), "return")
     crash = crash_labels(market, half_life=10.0)  # the first 30 stamps are warm-up
     assert len(crash.labels) == 0
     with pytest.raises(ValueError, match="1day horizon: 16 windows against 30 warm-up stamps"):
@@ -415,7 +408,7 @@ def test_mlp_classification_outputs_probabilities():
     x = rng.normal(size=(200, 2))
     y = (x[:, 0] > 0).astype(float)
     model = fit_mlp(x, y, "classification", hidden_size=8, alpha_l2=0.0,
-                    learning_rate_init=5e-2, max_iter=40, seed=1, early_stopping=False)
+                    learning_rate_init=5e-2, max_iter=40, seed=1)
     p = model.predict(x)
     assert np.all((p >= 0) & (p <= 1))
     assert np.mean((p > 0.5) == (y == 1)) > 0.9

@@ -75,7 +75,7 @@ def test_log_returns_skip_session_boundary(tiny_panel):
 
 def test_log_returns_window_is_price_ratio(tiny_panel):
     r = log_returns(tiny_panel, 1)
-    _, hourly, _ = window_sums(five_minute_sums(r.returns), r.opens, ONE_HOUR)
+    _, hourly = window_sums(five_minute_sums(r.returns), r.opens, ONE_HOUR)
     stamps, prices = sample_price_series(tiny_panel, ONE_HOUR, tiny_panel.asset_ids[0])
     open_price = tiny_panel.prices[0, 0]
     expected = np.log(prices[0] / open_price)
@@ -110,11 +110,11 @@ def second_grid():
 
 def test_five_minute_window_layout(second_grid):
     opens, values = second_grid
-    stamps, sums, sess = window_sums(five_minute_sums(values), opens, 300)
+    stamps, sums = window_sums(five_minute_sums(values), opens, 300)
     assert len(stamps) == 6 * 78  # 78 five-minute windows per session
-    # window right edges sit on the 300s grid from the open
+    # window right edges sit on the 300s grid from the open, 78 in each session
     assert np.all((stamps - 34200) % 300 == 0)
-    assert np.array_equal(sess, np.repeat(np.arange(6), 78))
+    assert np.array_equal((stamps - 34200) // 86400, np.repeat(np.arange(6), 78))
     # first window of session 0 sums offsets 1..300; the last sums 299 values
     assert sums[0] == np.sum(values[:300])
     assert sums[77] == np.sum(values[77 * 300 : 78 * 300 - 1])
@@ -122,10 +122,10 @@ def test_five_minute_window_layout(second_grid):
 
 def test_hourly_daily_weekly_bitwise_reaggregation(second_grid):
     opens, values = second_grid
-    _, fives, _ = window_sums(five_minute_sums(values), opens, 300)
-    _, hours, _ = window_sums(five_minute_sums(values), opens, ONE_HOUR)
-    _, days, _ = window_sums(five_minute_sums(values), opens, ONE_DAY)
-    _, weeks, _ = window_sums(five_minute_sums(values), opens, ONE_WEEK)
+    _, fives = window_sums(five_minute_sums(values), opens, 300)
+    _, hours = window_sums(five_minute_sums(values), opens, ONE_HOUR)
+    _, days = window_sums(five_minute_sums(values), opens, ONE_DAY)
+    _, weeks = window_sums(five_minute_sums(values), opens, ONE_WEEK)
     per_day = fives.reshape(6, 78)
     # hourly windows are the first 6x12 five-minute buckets of each session, then a
     # half-hour stub that belongs to no hourly window
@@ -140,12 +140,12 @@ def test_hourly_daily_weekly_bitwise_reaggregation(second_grid):
 
 def test_rolling_weekly_windows(second_grid):
     opens, values = second_grid
-    _, fives, _ = window_sums(five_minute_sums(values), opens, 300)
-    stamps, rolled, sess = window_sums(five_minute_sums(values), opens, ONE_WEEK, rolling_weekly=True)
+    _, fives = window_sums(five_minute_sums(values), opens, 300)
+    stamps, rolled = window_sums(five_minute_sums(values), opens, ONE_WEEK)
     assert len(stamps) == 2  # sessions 4 and 5 complete a trailing week
     assert rolled[0] == np.sum(fives[: 5 * 78])
     assert rolled[1] == np.sum(fives[78 : 6 * 78])
-    assert list(sess) == [4, 5]
+    assert np.array_equal(stamps, opens[4:] + ONE_DAY)  # each at its session's close
 
 
 def test_window_sums_incomplete_session(second_grid):
@@ -162,18 +162,18 @@ def test_window_sums_rejects_other_windows_and_coarse_grids(second_grid, tiny_re
     opens, values = second_grid
     with pytest.raises(ValueError, match="misaligned"):
         window_sums(five_minute_sums(values), opens, 900)  # divides the session, but is not supported
-    _, fives, _ = window_sums(five_minute_sums(tiny_returns.returns), tiny_returns.opens, FIVE_MIN)
+    _, fives = window_sums(five_minute_sums(tiny_returns.returns), tiny_returns.opens, FIVE_MIN)
     with pytest.raises(ValueError, match="incomplete session"):
         window_sums(five_minute_sums(fives), tiny_returns.opens, ONE_HOUR)
 
 
 @pytest.fixture(scope="module")
 def week_panel():
-    """3 assets x 6 sessions: two rolling weeks and one blocked week."""
+    """3 assets x 6 sessions: two weeks, ending at the closes of sessions 4 and 5."""
     return generate_synthetic_market(small_config(n_assets=3, n_sessions=6, seed=5))
 
 
-def _window_oracle(panel, window, rolling_weekly):
+def _window_oracle(panel, window):
     """Stamps and per-window np.sum slices: a 5-minute window sums its one-second returns,
     and a coarser window sums its 5-minute windows."""
     per_second = log_returns(panel, 1).returns
@@ -185,7 +185,7 @@ def _window_oracle(panel, window, rolling_weekly):
         for s in range(n) for lo in range(0, per, FIVE_MIN)
     ])
     if window == ONE_WEEK:
-        ends = range(4, n, 1 if rolling_weekly else 5)
+        ends = range(4, n)
         stamps = [opens[e] + ONE_DAY for e in ends]
         sums = [np.sum(fives[(e - 4) * per_day : (e + 1) * per_day], axis=0) for e in ends]
         return np.array(stamps), np.array(sums)
@@ -199,16 +199,17 @@ def _window_oracle(panel, window, rolling_weekly):
 
 
 @pytest.mark.parametrize(
-    "window,rolling",
-    [(FIVE_MIN, False), (ONE_HOUR, False), (ONE_DAY, False), (ONE_WEEK, False), (ONE_WEEK, True)],
+    "window,overlapping",
+    [(FIVE_MIN, False), (ONE_HOUR, False), (ONE_DAY, False), (ONE_WEEK, True)],
 )
-def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, rolling):
+def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, overlapping):
+    """Window sums equal np.sum slices bit for bit; only the weeks overlap (their lengths
+    add up to more than the panel's six sessions)."""
     per_second = log_returns(week_panel, 1)
-    got_stamps, got, _ = window_sums(
-        five_minute_sums(per_second.returns), per_second.opens, window, rolling_weekly=rolling
-    )
-    stamps, sums = _window_oracle(week_panel, window, rolling)
+    got_stamps, got = window_sums(five_minute_sums(per_second.returns), per_second.opens, window)
+    stamps, sums = _window_oracle(week_panel, window)
     assert np.array_equal(got_stamps, stamps)
+    assert (len(stamps) * window > 6 * SESSION_SECONDS) is overlapping
     assert got.shape == sums.shape == (len(stamps), 3)
     assert np.array_equal(got.view(np.uint64), sums.view(np.uint64))
 
@@ -221,11 +222,10 @@ def test_log_returns_windows_match_slice_oracle_bitwise(week_panel, window, roll
     squared=st.booleans(),
     flat_stretch=st.booleans(),
     window=st.sampled_from([FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK]),
-    rolling=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_session_five_minute_sums_match_the_whole_panel_oracle_bitwise(
-    n_sessions, n_assets, one_dimensional, squared, flat_stretch, window, rolling, seed
+    n_sessions, n_assets, one_dimensional, squared, flat_stretch, window, seed
 ):
     """Five-minute sums made one session at a time, then summed into each window, equal
     the whole-panel window sums bit for bit, for [T] and [T, N] values alike."""
@@ -246,10 +246,10 @@ def test_session_five_minute_sums_match_the_whole_panel_oracle_bitwise(
     assert fives.shape == (n_sessions, 78) + whole.shape[1:]
     if window == ONE_WEEK and n_sessions < 5:
         with pytest.raises(ValueError, match="need 5 sessions"):
-            window_sums(fives, opens, window, rolling_weekly=rolling)
+            window_sums(fives, opens, window)
         return
-    stamps, sums = whole_panel_window_sums(whole, opens, window, rolling)
-    got_stamps, got, _ = window_sums(fives, opens, window, rolling_weekly=rolling)
+    stamps, sums = whole_panel_window_sums(whole, opens, window)
+    got_stamps, got = window_sums(fives, opens, window)
     assert np.array_equal(got_stamps, stamps)
     assert got.shape == sums.shape
     assert got.tobytes() == sums.tobytes()
@@ -276,14 +276,14 @@ def test_session_five_minute_sums_take_row_views_of_the_chosen_columns(week_pane
 def test_window_partition_additivity(window):
     rng = np.random.default_rng(99)
     values = rng.standard_normal(SESSION_SECONDS - 1)
-    _, sums, _ = window_sums(five_minute_sums(values), np.array([34200]), window)
+    _, sums = window_sums(five_minute_sums(values), np.array([34200]), window)
     assert len(sums) == SESSION_SECONDS // window
     assert np.isclose(np.sum(sums), np.sum(values), rtol=1e-12)
 
 
 def test_hourly_windows_exclude_half_hour_stub(second_grid):
     opens, values = second_grid
-    stamps, sums, _ = window_sums(five_minute_sums(values), opens, ONE_HOUR)
+    stamps, sums = window_sums(five_minute_sums(values), opens, ONE_HOUR)
     assert len(sums) == 6 * 6  # six complete hours per session
     # the last hourly edge sits 30 minutes before the close
     assert (stamps[5] - 34200) % 86400 == 6 * ONE_HOUR
@@ -301,7 +301,7 @@ def _squared_fives(returns):
 
 def test_rv_is_sum_of_squares(tiny_returns):
     squared = _squared_fives(tiny_returns)
-    stamps, rv, _ = window_sums(squared, tiny_returns.opens, 300)
+    stamps, rv = window_sums(squared, tiny_returns.opens, 300)
     col = tiny_returns.returns[:, 0]
     assert rv[0] == np.sum(col[:300] ** 2)  # bitwise: same slice, same reduction
     series = realized_variance(squared, tiny_returns.opens, 300)
@@ -311,8 +311,8 @@ def test_rv_is_sum_of_squares(tiny_returns):
 
 def test_rv_additivity_bitwise(tiny_returns):
     squared = _squared_fives(tiny_returns)
-    _, fives, _ = window_sums(squared, tiny_returns.opens, 300)
-    _, daily, _ = window_sums(squared, tiny_returns.opens, ONE_DAY)
+    _, fives = window_sums(squared, tiny_returns.opens, 300)
+    _, daily = window_sums(squared, tiny_returns.opens, ONE_DAY)
     assert daily[0] == np.sum(fives[:78])
     assert daily[1] == np.sum(fives[78:])
 
@@ -347,7 +347,7 @@ def test_drawdown_hand_oracle():
 
 def test_drawdown_bounds(tiny_panel):
     stamps, prices = sample_price_series(tiny_panel, 300, tiny_panel.asset_ids[1])
-    series = drawdown(stamps, prices, 300)
+    series = drawdown(stamps, prices)
     assert np.all(series.values >= 0.0) and np.all(series.values < 1.0)
 
 
@@ -403,7 +403,7 @@ def test_ewm_needs_two_observations():
 
 def test_crash_labels_warmup_and_consistency(rng):
     n = 200
-    series = RiskSeries(np.arange(n, dtype=np.int64), rng.standard_normal(n), "return", ONE_DAY)
+    series = RiskSeries(np.arange(n, dtype=np.int64), rng.standard_normal(n), "return")
     labels = crash_labels(series, half_life=10.0, threshold=-1.5)
     warm = int(np.ceil(3 * 10.0))
     assert labels.timestamps[0] == warm  # first ceil(3*lambda) stamps excluded
@@ -413,7 +413,7 @@ def test_crash_labels_warmup_and_consistency(rng):
 
 def test_crash_labels_zero_std_excluded():
     vals = np.concatenate([np.zeros(40), [1.0], np.zeros(10)])
-    series = RiskSeries(np.arange(51, dtype=np.int64), vals, "return", ONE_DAY)
+    series = RiskSeries(np.arange(51, dtype=np.int64), vals, "return")
     labels = crash_labels(series, half_life=5.0, threshold=-1.5)
     warm = int(np.ceil(15.0))
     # stamps 15..39 have zero EWMA std and are dropped
@@ -479,9 +479,9 @@ def test_winsorize_validates_bounds():
 
 def test_risk_series_kind_validation():
     with pytest.raises(ValueError, match="kind"):
-        RiskSeries(np.array([1]), np.array([0.5]), "mystery", 300)
+        RiskSeries(np.array([1]), np.array([0.5]), "mystery")
     with pytest.raises(ValueError):
-        RiskSeries(np.array([1]), np.array([-0.5]), "drawdown", 300)  # negative drawdown
+        RiskSeries(np.array([1]), np.array([-0.5]), "drawdown")  # negative drawdown
 
 
 def test_returns_panel_select_sessions(tiny_returns):

@@ -31,13 +31,12 @@ def _whole_panel_market_series(ticks, freq):
     """Oracle: the market's windowed returns and log RV from its whole one-second column,
     as the analyze and forecast stages built them before they streamed."""
     base = log_returns(TickPanel(ticks.opens, ticks.prices[:, :1], ticks.asset_ids[:1]), 1)
-    rolling = freq == ONE_WEEK
-    stamps, sums = whole_panel_window_sums(base.returns, base.opens, freq, rolling)
-    returns = RiskSeries(stamps, sums[:, 0], "return", freq)
+    stamps, sums = whole_panel_window_sums(base.returns, base.opens, freq)
+    returns = RiskSeries(stamps, sums[:, 0], "return")
     col = base.returns[:, 0]
-    stamps, rv = whole_panel_window_sums(col * col, base.opens, freq, rolling)
+    stamps, rv = whole_panel_window_sums(col * col, base.opens, freq)
     keep = rv > 0.0
-    return returns, RiskSeries(stamps[keep], np.log(rv[keep]), "log_rv", freq)
+    return returns, RiskSeries(stamps[keep], np.log(rv[keep]), "log_rv")
 
 
 @pytest.mark.parametrize("composite", [False, True], ids=["plain", "composite"])
@@ -49,7 +48,7 @@ def test_market_base_matches_the_whole_panel_oracle_bitwise(composite):
     for freq in (FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK):
         want_returns, want_rv = _whole_panel_market_series(ticks, freq)
         got_returns = arrkit.pipeline._market_returns(ret_fives, ticks.opens, freq)
-        got_rv = realized_variance(sq_fives, ticks.opens, freq, rolling_weekly=freq == ONE_WEEK)
+        got_rv = realized_variance(sq_fives, ticks.opens, freq)
         for got, want in ((got_returns, want_returns), (got_rv, want_rv)):
             assert np.array_equal(got.timestamps, want.timestamps)
             assert got.values.tobytes() == want.values.tobytes()
@@ -77,7 +76,7 @@ import numpy as np
 from arrkit.arr import ArrSeries, pca_reconstruction, smooth_arr
 from arrkit.autoencoder import reconstruct_series
 from arrkit.config import load_config
-from arrkit.market_data import ONE_WEEK, TickPanel
+from arrkit.market_data import TickPanel
 from arrkit import pipeline
 from arrkit.returns_metrics import log_returns
 from arrkit.serialization import load_autoencoder, load_pca
@@ -100,8 +99,8 @@ for source in ("autoencoder", "pca"):
         model, _ = load_pca(os.path.join(out_dir, "models", "pca.json"))
         recon = pca_reconstruction(model, returns)
     for freq in cfg.frequencies:
-        stamps, num, den = whole_panel_ratio(recon, freq, freq == ONE_WEEK)
-        series = ArrSeries(stamps, num / den, freq, source, num, den, freq == ONE_WEEK)
+        stamps, num, den = whole_panel_ratio(recon, freq)
+        series = ArrSeries(stamps, num / den, freq, source, num, den)
         todo = [(series, pipeline.arr_file_name(source, freq))]
         if freq == 300:
             smoothed = smooth_arr(series, cfg.smooth_half_life_days)
