@@ -37,6 +37,8 @@ def default_config(out_dir: str, seed: int) -> RunConfig:
         horizons=(300, 3600),
         ae_search_iterations=8,
         forecast_search_iterations=20,
+        crash_threshold=-1.0,  # at -1.5, or with 3 folds, a side of a 1-hour CV fold has no crash
+        cv_folds=2,
         seed=seed,
         output_dir=out_dir,
     )

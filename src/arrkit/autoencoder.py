@@ -224,7 +224,7 @@ def random_search_ae(
     )
     best = first_best([t.val_loss for t in trials])
     if best is None:
-        raise RuntimeError("every search trial failed")
+        raise RuntimeError(f"every search trial failed; arm 0: {trials[0].error}")
     return AeSearchResult(  # replace re-freezes the normalization a worker's pickle thawed
         best_config=configs[best], best_val_loss=trials[best].val_loss,
         best_model=replace(results[best][0]), trials=trials,

@@ -277,20 +277,20 @@ class TreeNode:
     value: float = 0.0
 
 
-def _leaf_values(g: np.ndarray, h: np.ndarray, alpha: float, beta: float):
+def _leaf_values(g, h, alpha: float, beta: float):
     """Newton leaf weight and its score with L1 (alpha) / L2 (beta) regularization."""
-    shrunk = _soft_threshold(np.atleast_1d(np.asarray(g, dtype=np.float64)), alpha)
-    denom = np.atleast_1d(np.asarray(h, dtype=np.float64)) + beta
+    shrunk = _soft_threshold(g, alpha)
+    denom = h + beta
     safe = denom > 0
-    weight = np.where(safe, -shrunk / np.where(safe, denom, 1.0), 0.0)
-    score = np.where(safe, 0.5 * shrunk * shrunk / np.where(safe, denom, 1.0), 0.0)
-    return weight, score
+    denom = np.where(safe, denom, 1.0)
+    return np.where(safe, -shrunk / denom, 0.0), np.where(safe, 0.5 * shrunk * shrunk / denom, 0.0)
 
 
 @dataclass(eq=False)
 class _Leaf:
     rows: np.ndarray
     node: TreeNode
+    weight: float = 0.0
     gain: float = -np.inf
     feature: int = -1
     threshold: float = 0.0
@@ -298,68 +298,52 @@ class _Leaf:
     right_rows: np.ndarray | None = None
 
 
-def _find_split(x, g, h, rows, orders, in_leaf, alpha, beta, leaf: _Leaf):
-    g_tot = float(g[rows].sum())
-    h_tot = float(h[rows].sum())
-    _, parent = _leaf_values(g_tot, h_tot, alpha, beta)
-    parent = float(parent[0])
-    in_leaf[:] = False
-    in_leaf[rows] = True
-    best_gain = 0.0
-    for f in range(x.shape[1]):
-        order = orders[f][in_leaf[orders[f]]]
-        xs = x[order, f]
-        if xs[0] == xs[-1]:
-            continue
-        cg = np.cumsum(g[order])[:-1]
-        ch = np.cumsum(h[order])[:-1]
-        boundary = np.flatnonzero(xs[:-1] < xs[1:])
-        if boundary.size == 0:
-            continue
-        _, s_left = _leaf_values(cg[boundary], ch[boundary], alpha, beta)
-        _, s_right = _leaf_values(g_tot - cg[boundary], h_tot - ch[boundary], alpha, beta)
-        gains = s_left + s_right - parent
-        j = int(np.argmax(gains))  # first max -> lowest threshold wins ties
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            cut = boundary[j]
-            leaf.gain = best_gain
-            leaf.feature = f
-            leaf.threshold = (xs[cut] + xs[cut + 1]) / 2.0
-            leaf.left_rows = order[: cut + 1]
-            leaf.right_rows = order[cut + 1 :]
-    if best_gain <= 0.0:
-        leaf.gain = -np.inf
+def _find_split(x, g, h, orders, alpha, beta, leaf: _Leaf):
+    """Score every cut of every feature's sorted rows in one pass; keep the first maximum
+    (lowest feature, then lowest threshold) when its gain is positive."""
+    g_tot = g[leaf.rows].sum()
+    h_tot = h[leaf.rows].sum()
+    leaf.weight, parent = _leaf_values(g_tot, h_tot, alpha, beta)
+    in_leaf = np.zeros(orders.shape[1], dtype=bool)
+    in_leaf[leaf.rows] = True
+    order = orders[in_leaf[orders]].reshape(len(orders), len(leaf.rows))
+    xs = x[order, np.arange(len(orders))[:, None]]
+    cg = np.cumsum(g[order], axis=1)[:, :-1]
+    ch = np.cumsum(h[order], axis=1)[:, :-1]
+    _, s = _leaf_values(np.stack([cg, g_tot - cg]), np.stack([ch, h_tot - ch]), alpha, beta)
+    gains = s[0] + s[1] - parent
+    gains[~(xs[:, :-1] < xs[:, 1:])] = -np.inf  # a cut must fall between distinct values
+    if gains.size == 0:  # a one-row leaf has no cut
+        return
+    f, cut = divmod(int(np.argmax(gains)), gains.shape[1])
+    if gains[f, cut] > 0:
+        leaf.gain = gains[f, cut]
+        leaf.feature = f
+        mid = (xs[f, cut] + xs[f, cut + 1]) / 2.0
+        leaf.threshold = mid if mid < xs[f, cut + 1] else xs[f, cut]  # x <= threshold goes left
+        leaf.left_rows = order[f, : cut + 1]
+        leaf.right_rows = order[f, cut + 1 :]
 
 
-def _build_tree(x, g, h, num_leaves, alpha, beta, orders, in_leaf) -> TreeNode:
-    n = len(g)
+def _build_tree(x, g, h, num_leaves, alpha, beta, orders) -> TreeNode:
     root = TreeNode()
-    all_rows = np.arange(n)
-    first = _Leaf(rows=all_rows, node=root)
-    _find_split(x, g, h, all_rows, orders, in_leaf, alpha, beta, first)
-    leaves = [first]
+    leaves = [_Leaf(rows=np.arange(len(g)), node=root)]
+    _find_split(x, g, h, orders, alpha, beta, leaves[0])
     while len(leaves) < num_leaves:
-        pick_at = -1
-        for i, leaf in enumerate(leaves):  # earliest leaf wins gain ties
-            if leaf.gain > 0 and (pick_at < 0 or leaf.gain > leaves[pick_at].gain):
-                pick_at = i
-        if pick_at < 0:
+        at = max(range(len(leaves)), key=lambda i: leaves[i].gain)  # earliest leaf wins gain ties
+        pick = leaves[at]
+        if pick.gain <= 0:
             break
-        pick = leaves[pick_at]
         pick.node.feature = pick.feature
         pick.node.threshold = pick.threshold
         pick.node.left = TreeNode()
         pick.node.right = TreeNode()
-        left = _Leaf(rows=pick.left_rows, node=pick.node.left)
-        right = _Leaf(rows=pick.right_rows, node=pick.node.right)
-        _find_split(x, g, h, left.rows, orders, in_leaf, alpha, beta, left)
-        _find_split(x, g, h, right.rows, orders, in_leaf, alpha, beta, right)
-        leaves[pick_at] = left
-        leaves.append(right)
+        leaves[at] = _Leaf(rows=pick.left_rows, node=pick.node.left)
+        leaves.append(_Leaf(rows=pick.right_rows, node=pick.node.right))
+        _find_split(x, g, h, orders, alpha, beta, leaves[at])
+        _find_split(x, g, h, orders, alpha, beta, leaves[-1])
     for leaf in leaves:
-        w, _ = _leaf_values(float(g[leaf.rows].sum()), float(h[leaf.rows].sum()), alpha, beta)
-        leaf.node.value = float(w[0])
+        leaf.node.value = float(leaf.weight)
     return root
 
 
@@ -428,8 +412,7 @@ def fit_gbdt(
         base = math.log(p_bar / (1.0 - p_bar))
     else:
         base = float(y.mean())
-    orders = [np.argsort(x[:, f], kind="stable") for f in range(x.shape[1])]
-    in_leaf = np.zeros(len(y), dtype=bool)
+    orders = np.argsort(x.T, axis=1, kind="stable")  # (features, rows)
     current = np.full(len(y), base)
     trees = []
     for _ in range(n_estimators):
@@ -442,7 +425,7 @@ def fit_gbdt(
             h = p * (1.0 - p)
         if float(np.abs(g).max(initial=0.0)) == 0.0:
             break
-        tree = _build_tree(x, g, h, num_leaves, reg_alpha, reg_beta, orders, in_leaf)
+        tree = _build_tree(x, g, h, num_leaves, reg_alpha, reg_beta, orders)
         current += learning_rate * _predict_tree(tree, x)
         trees.append(tree)
     return GbdtModel(base_score=base, trees=trees, learning_rate=learning_rate, task=task)
@@ -678,7 +661,7 @@ def random_search_cv(
     trials = tuple(CvTrial(arm, configs[arm], *evaluated[src]) for arm, src in enumerate(sources))
     best = first_best([None if t.error is not None else -t.mean_score for t in trials])  # highest score
     if best is None:
-        raise RuntimeError("every search trial failed")
+        raise RuntimeError(f"every search trial failed; arm 0: {trials[0].error}")
 
     x_fit, y_fit = x, y
     if dataset.task == "classification":

@@ -247,8 +247,9 @@ MIXED_GRID = dict(VIOLENT_GRID, learning_rate=(1e-3, 1e80))  # some arms diverge
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_search_records_diverged_trials_and_rejects_all_failed():
     tr, va = _toy_panels(seed=13, n_train=300, n_val=100)
-    with pytest.raises(RuntimeError, match="every search trial failed"):
+    with pytest.raises(RuntimeError, match="every search trial failed") as failed_all:
         random_search_ae(tr, va, grid=VIOLENT_GRID, iterations=2, seed=0, max_epochs=3)
+    assert "; arm 0: " in str(failed_all.value) and "diverged" in str(failed_all.value)  # the cause
     # mixed grid: sane arms still win while the divergent ones are recorded with errors
     result = random_search_ae(tr, va, grid=MIXED_GRID, iterations=6, seed=1, max_epochs=2)
     errors = [t for t in result.trials if t.error is not None]

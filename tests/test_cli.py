@@ -16,6 +16,7 @@ import pytest
 import arrkit.pipeline
 from arrkit.cli import main
 from arrkit.config import RunConfig, SplitSpec, config_hash, data_hash, load_config, save_config
+from arrkit.forecasting import chronological_folds
 from arrkit.market_data import (
     CoMovementSpec,
     RegimeSpec,
@@ -633,7 +634,7 @@ PINNED_HASHES = {
                 "f4b6d0f5f16d0b2f06097c6c46d86950418689f9d9fabe427d199421bf0e5b16"),
     "gate8": ("ee7b49ff5554f9d4dad74c57675f7567cb8e7714819841fd53311531310bf13a",
               "d3e5ff9300bc8ad8988650b9ecb796343f996050a9147369802923777066e1fd"),
-    "quick_start": ("a44eacc1551c5f819375d3e2dbb76ae14b4942d7945ab87e77274ced86b51206",
+    "quick_start": ("52a1517ee1ea9e88790c27c40ada014c6131792f8d0ab28a5190e2e32cd9f7b4",
                     "c283d6ab8df3ab507640f5027d2a63c998c986fd77accccb338b952e0694899a"),
     "bench_synthetic": ("fa5811553a3461f1a11eea6e45b4b5364b46453bdce0c3b3b2753c053fa3c794",
                         "7f0576baba1cb793f3eb78977a3b16655dcbaceafa593ce233887b3b8ca7f88e"),
@@ -688,6 +689,29 @@ def test_pinned_configs_keep_their_hashes(tmp_path, monkeypatch):
         parsed = load_config(_save(cfg, str(tmp_path), f"{name}.json"))
         assert parsed == cfg, name
         assert (config_hash(parsed), data_hash(parsed)) == PINNED_HASHES[name], name
+
+
+def test_quick_start_classification_folds_hold_both_classes(tmp_path, monkeypatch):
+    """No quick-start classification cell can fail for want of a crash: both sides of
+    every CV fold, and the test split, hold both classes. The ratio's stamps do not depend
+    on the model that reconstructs the returns, so PCA stands in for the autoencoder."""
+    quick_start = _module_from_file(monkeypatch, "scripts", "run_pipeline.py")
+    out = str(tmp_path)
+    cfg = dataclasses.replace(quick_start.default_config(out, 7), models="pca")
+    arrkit.pipeline.cmd_generate(cfg, out)
+    arrkit.pipeline.cmd_train(cfg, out, threads=1)
+    arrkit.pipeline.cmd_arr(cfg, out)
+    ticks, calendar = arrkit.pipeline.load_panel(cfg, out)
+    tasks = [t for t in arrkit.pipeline._forecast_tasks(cfg, ticks, calendar, out)
+             if t[1] == "classification"]
+    assert {t[0] for t in tasks} == set(cfg.horizons)
+    for horizon, _, _, splits, _, folds, _, _ in tasks:
+        assert not isinstance(splits, str), splits
+        train, test = splits[True]
+        assert set(test.target) == {0, 1}, horizon
+        for block in chronological_folds(len(train), folds):
+            assert set(np.delete(train.target, block)) == {0, 1}, (horizon, block[0])
+            assert set(train.target[block]) == {0, 1}, (horizon, block[0])
 
 
 @pytest.mark.parametrize("edit, message", [

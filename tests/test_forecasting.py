@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrkit import forecasting
 from arrkit.arr import ArrSeries
 from arrkit.forecasting import (
     FORECAST_GRIDS,
     ForecastDataset,
+    TreeNode,
     build_features,
     chronological_folds,
     fit_gbdt,
@@ -373,6 +377,152 @@ def test_gbdt_validation():
         fit_gbdt(x, y, "regression", 0.1, -1, 5)
 
 
+def test_gbdt_threshold_between_adjacent_doubles_sends_the_upper_value_right():
+    lo = np.nextafter(1.0, 2.0)
+    hi = np.nextafter(lo, 2.0)  # (lo + hi) / 2 rounds to hi
+    x = np.repeat([lo, hi], 5)[:, None]
+    y = np.repeat([0.0, 1.0], 5)
+    model = fit_gbdt(x, y, "regression", learning_rate=1.0, n_estimators=1, num_leaves=2)
+    assert model.trees[0].threshold == lo
+    np.testing.assert_array_equal(model.predict(x), y)
+
+
+# The split finder as it was before the one-pass search, a Python loop over features,
+# kept as the oracle. Its one change is the threshold rule of the test above.
+
+
+def _oracle_leaf_values(g, h, alpha, beta):
+    g = np.atleast_1d(np.asarray(g, dtype=np.float64))
+    shrunk = np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
+    denom = np.atleast_1d(np.asarray(h, dtype=np.float64)) + beta
+    safe = denom > 0
+    weight = np.where(safe, -shrunk / np.where(safe, denom, 1.0), 0.0)
+    score = np.where(safe, 0.5 * shrunk * shrunk / np.where(safe, denom, 1.0), 0.0)
+    return weight, score
+
+
+class _OracleLeaf:
+    def __init__(self, rows, node):
+        self.rows, self.node, self.gain = rows, node, -np.inf
+
+
+def _oracle_find_split(x, g, h, rows, orders, in_leaf, alpha, beta, leaf):
+    g_tot = float(g[rows].sum())
+    h_tot = float(h[rows].sum())
+    _, parent = _oracle_leaf_values(g_tot, h_tot, alpha, beta)
+    parent = float(parent[0])
+    in_leaf[:] = False
+    in_leaf[rows] = True
+    best_gain = 0.0
+    for f in range(x.shape[1]):
+        order = orders[f][in_leaf[orders[f]]]
+        xs = x[order, f]
+        if xs[0] == xs[-1]:
+            continue
+        cg = np.cumsum(g[order])[:-1]
+        ch = np.cumsum(h[order])[:-1]
+        boundary = np.flatnonzero(xs[:-1] < xs[1:])
+        if boundary.size == 0:
+            continue
+        _, s_left = _oracle_leaf_values(cg[boundary], ch[boundary], alpha, beta)
+        _, s_right = _oracle_leaf_values(g_tot - cg[boundary], h_tot - ch[boundary], alpha, beta)
+        gains = s_left + s_right - parent
+        j = int(np.argmax(gains))  # first max -> lowest threshold wins ties
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            cut = boundary[j]
+            leaf.gain = best_gain
+            leaf.feature = f
+            mid = (xs[cut] + xs[cut + 1]) / 2.0
+            leaf.threshold = mid if mid < xs[cut + 1] else xs[cut]
+            leaf.left_rows = order[: cut + 1]
+            leaf.right_rows = order[cut + 1 :]
+    if best_gain <= 0.0:
+        leaf.gain = -np.inf
+
+
+def _oracle_build_tree(x, g, h, num_leaves, alpha, beta, _orders):
+    orders = [np.argsort(x[:, f], kind="stable") for f in range(x.shape[1])]
+    in_leaf = np.zeros(len(g), dtype=bool)
+    root = TreeNode()
+    all_rows = np.arange(len(g))
+    first = _OracleLeaf(all_rows, root)
+    _oracle_find_split(x, g, h, all_rows, orders, in_leaf, alpha, beta, first)
+    leaves = [first]
+    while len(leaves) < num_leaves:
+        pick_at = -1
+        for i, leaf in enumerate(leaves):  # earliest leaf wins gain ties
+            if leaf.gain > 0 and (pick_at < 0 or leaf.gain > leaves[pick_at].gain):
+                pick_at = i
+        if pick_at < 0:
+            break
+        pick = leaves[pick_at]
+        pick.node.feature = pick.feature
+        pick.node.threshold = pick.threshold
+        pick.node.left = TreeNode()
+        pick.node.right = TreeNode()
+        left = _OracleLeaf(pick.left_rows, pick.node.left)
+        right = _OracleLeaf(pick.right_rows, pick.node.right)
+        _oracle_find_split(x, g, h, left.rows, orders, in_leaf, alpha, beta, left)
+        _oracle_find_split(x, g, h, right.rows, orders, in_leaf, alpha, beta, right)
+        leaves[pick_at] = left
+        leaves.append(right)
+    for leaf in leaves:
+        w, _ = _oracle_leaf_values(float(g[leaf.rows].sum()), float(h[leaf.rows].sum()), alpha, beta)
+        leaf.node.value = float(w[0])
+    return root
+
+
+def _tree_bits(node) -> list:
+    """Preorder (feature, threshold, value) of a tree, the floats as hex."""
+    out = [(int(node.feature), float(node.threshold).hex(), float(node.value).hex())]
+    return out if node.feature < 0 else out + _tree_bits(node.left) + _tree_bits(node.right)
+
+
+def _feature_column(kind, values, n):
+    if kind == "constant":
+        return np.full(n, values[0])
+    if kind == "ties":
+        return np.round(np.asarray(values), 0)
+    if kind == "adjacent doubles":  # their midpoint rounds onto the upper value
+        lo = np.nextafter(1.0, 2.0)
+        return np.where(np.asarray(values) > 0, np.nextafter(lo, 2.0), lo)
+    return np.asarray(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["regression", "classification"]),
+    st.integers(1, 24),
+    st.lists(st.sampled_from(["constant", "ties", "floats", "adjacent doubles"]),
+             min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 30),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+    st.sampled_from([0.0, 1e-3, 0.1, 2.0]),
+    st.sampled_from([0.1, 1.0]),
+)
+def test_one_pass_split_search_grows_the_oracle_trees_bitwise(
+    task, n, kinds, seed, num_leaves, n_estimators, reg_alpha, reg_beta, learning_rate
+):
+    """Trees and predictions equal the per-feature oracle's bit for bit, over ties,
+    constant features, one- and two-row leaves and leaf budgets above the row count."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([_feature_column(k, rng.normal(scale=2.0, size=n), n) for k in kinds])
+    y = rng.normal(size=n) + x[:, 0]
+    if task == "classification":
+        y = (y > np.median(y)).astype(np.float64)
+    kw = dict(learning_rate=learning_rate, n_estimators=n_estimators, num_leaves=num_leaves,
+              reg_alpha=reg_alpha, reg_beta=reg_beta)
+    model = fit_gbdt(x, y, task, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forecasting, "_build_tree", _oracle_build_tree)
+        oracle = fit_gbdt(x, y, task, **kw)
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in oracle.trees]
+    assert model.raw_predict(x).tobytes() == oracle.raw_predict(x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # perceptron
 
@@ -522,9 +672,10 @@ def test_search_records_failed_trials_and_survives_them():
     assert failed and scored and len(failed) + len(scored) == 10
     assert all("non-negative" in t.error for t in failed)
     assert result.spec.params["alpha"] == 0.5
-    with pytest.raises(RuntimeError, match="every search trial failed"):
+    with pytest.raises(RuntimeError, match="every search trial failed") as failed_all:
         random_search_cv(ds, "ridge", grid={"alpha": (-1.0,), "fit_intercept": (False,)},
                          iterations=3, folds=2, seed=0)
+    assert str(failed_all.value).endswith("; arm 0: alpha must be non-negative")  # the cause
 
 
 def test_search_classification_with_oversampled_folds():
