@@ -5,7 +5,8 @@
 
 Generates a nonlinear synthetic factor panel, tunes the autoencoder on the
 train/validation splits, fits PCA with the same latent dimension on the full
-fit window, and compares pooled out-of-sample R² with a paired bootstrap.
+fit window, and compares pooled out-of-sample R² with a paired circular block
+bootstrap that moves whole seconds, all assets of one together.
 """
 
 import argparse
@@ -55,9 +56,9 @@ def main(argv=None) -> int:
           f"best val MSE {search.best_val_loss:.5f}, {time.monotonic() - t0:.0f}s")
 
     pca = fit_pca(returns.select_sessions(0, val_end).returns, latent)
-    actual = test.returns.ravel()
-    ae_pred = reconstruct_series(search.best_model, test).reconstructed.ravel()
-    pca_pred = pca_reconstruction(pca, test).reconstructed.ravel()
+    actual = test.returns  # (seconds, assets): the bootstrap moves whole seconds
+    ae_pred = reconstruct_series(search.best_model, test).reconstructed
+    pca_pred = pca_reconstruction(pca, test).reconstructed
     boot = paired_bootstrap(actual, ae_pred, pca_pred, metric="r2",
                             n_resamples=500, seed=1)
 
@@ -65,7 +66,8 @@ def main(argv=None) -> int:
     print(f"{'autoencoder':<14}{r_squared(actual, ae_pred):>18.4f}")
     print(f"{'pca':<14}{r_squared(actual, pca_pred):>18.4f}")
     print(f"paired bootstrap (autoencoder > pca): diff {boot.observed_diff:+.5f}, "
-          f"{boot.p_string()} over {boot.n_resamples} resamples")
+          f"{boot.p_string()} over {boot.n_resamples} resamples of "
+          f"{boot.block_length}-second blocks")
     return 0
 
 

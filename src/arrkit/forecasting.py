@@ -591,6 +591,7 @@ def chronological_folds(n: int, folds: int) -> list[np.ndarray]:
 class CvTrial:
     arm: int
     params: dict
+    folds_scored: int  # folds whose validation block could be scored
     fold_scores: tuple | None = None
     mean_score: float | None = None
     error: str | None = None
@@ -611,7 +612,7 @@ def _cv_arm(job, fold_sets, family: str, task: str, seed: int):
     score_fn = auroc if task == "classification" else r_squared
     scores = []
     try:
-        for f, (x_tr, y_tr, x_val, y_val) in enumerate(fold_sets):
+        for f, x_tr, y_tr, x_val, y_val in fold_sets:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(arm, f)))
             model = train_model(spec, x_tr, y_tr, rng=rng)
             scores.append(float(score_fn(y_val, model.predict(x_val))))
@@ -632,24 +633,30 @@ def random_search_cv(
 
     Produces exactly `iterations` trial records (configs may repeat; repeated configs
     reuse the first evaluation). Classification folds oversample the training side only;
-    validation folds are scored as-is. The winner is refit on the full dataset
-    (oversampled for classification).
+    validation folds are scored as-is, and a classification fold whose validation block
+    holds one class, where AUROC is undefined, is skipped. The winner is refit on the
+    full dataset (oversampled for classification).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     grid = FORECAST_GRIDS[family] if grid is None else grid
     x, y = dataset.features, dataset.target
     blocks = chronological_folds(len(y), folds)
+    classification = dataset.task == "classification"
     fold_sets = []
     for f, block in enumerate(blocks):
+        if classification and y[block].min() == y[block].max():  # AUROC undefined
+            continue
         outside = np.ones(len(y), dtype=bool)
         outside[block] = False
         tr_idx = np.flatnonzero(outside)
         x_tr, y_tr = x[tr_idx], y[tr_idx]
-        if dataset.task == "classification":
+        if classification:
             fold_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(f,)))
             x_tr, y_tr = oversample_minority(x_tr, y_tr, fold_rng)
-        fold_sets.append((x_tr, y_tr, x[block], y[block]))
+        fold_sets.append((f, x_tr, y_tr, x[block], y[block]))
+    if not fold_sets:
+        raise ValueError("no CV fold holds both classes")
 
     configs = draw_configs(grid, iterations, seed)
     first: dict[tuple, int] = {}  # a repeated config reuses the evaluation of its first arm
@@ -658,13 +665,14 @@ def random_search_cv(
     # in process: the forecast stage spreads its cells, not their arms, over the workers
     results = map_arms(_cv_arm, jobs, (fold_sets, family, dataset.task, seed), workers=1)
     evaluated = dict(zip(first.values(), results))
-    trials = tuple(CvTrial(arm, configs[arm], *evaluated[src]) for arm, src in enumerate(sources))
+    trials = tuple(CvTrial(arm, configs[arm], len(fold_sets), *evaluated[src])
+                   for arm, src in enumerate(sources))
     best = first_best([None if t.error is not None else -t.mean_score for t in trials])  # highest score
     if best is None:
         raise RuntimeError(f"every search trial failed; arm 0: {trials[0].error}")
 
     x_fit, y_fit = x, y
-    if dataset.task == "classification":
+    if classification:
         refit_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(iterations,)))
         x_fit, y_fit = oversample_minority(x_fit, y_fit, refit_rng)
     winner = ModelSpec(family=family, params=configs[best], task=dataset.task, seed=seed)

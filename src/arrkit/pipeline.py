@@ -627,26 +627,27 @@ def _reconstruction_block(cfg: RunConfig, out_dir) -> dict:
         return {"status": "skipped", "reason": "needs both model sources trained"}
     ticks, _ = load_panel(cfg, out_dir)
     test = log_returns(ticks.select_sessions(*cfg.splits.test, _sector_columns(cfg)), 1)
-    flat = {}
-    for source in ("autoencoder", "pca"):
-        flat[source] = reconstructor(source, out_dir)(test).reconstructed.ravel()
-    actual = test.returns.ravel()
+    # (seconds, assets): a resample moves whole seconds, all assets of one together
+    pred = {source: reconstructor(source, out_dir)(test).reconstructed
+            for source in ("autoencoder", "pca")}
+    actual = test.returns
     boot = paired_bootstrap(
         actual,
-        flat["autoencoder"],
-        flat["pca"],
+        pred["autoencoder"],
+        pred["pca"],
         metric="r2",
         seed=_seed_from(101, base=cfg.seed),
     )
     return {
         "status": "ok",
         "test_sessions": list(cfg.splits.test),
-        "r2_autoencoder": r_squared(actual, flat["autoencoder"]),
-        "r2_pca": r_squared(actual, flat["pca"]),
+        "r2_autoencoder": r_squared(actual, pred["autoencoder"]),
+        "r2_pca": r_squared(actual, pred["pca"]),
         "observed_diff": boot.observed_diff,
         "p_value": boot.p_value,
         "p_string": boot.p_string(),
         "n_resamples": boot.n_resamples,
+        "block_length": boot.block_length,
     }
 
 

@@ -83,6 +83,7 @@ class BootstrapResult:
     observed_diff: float
     p_value: float
     n_resamples: int
+    block_length: int  # rows per circular block
     n_failing: int  # resamples where the difference violated the tested direction
     samples: np.ndarray
 
@@ -102,19 +103,24 @@ def paired_bootstrap(
     n_resamples: int = 500,
     seed: int = 0,
 ) -> BootstrapResult:
-    """One-sided paired bootstrap test of metric(A) > metric(B).
+    """One-sided paired circular block bootstrap test of metric(A) > metric(B).
 
-    Rows are resampled with replacement; both models are scored on the same resample, so
-    the comparison is paired. The p-value is the exact fraction of resamples whose
-    difference is <= 0. Resamples on which the metric is undefined (e.g. one-class label
-    draws) are redrawn, with a hard cap on total draws.
+    A resample is k = ceil(n / L) blocks of L consecutive rows, L the least integer with
+    L**3 >= n, each from a uniform start, wrapping past the last row, with the last block
+    cut so that a resample has n rows (Politis & Romano, 1992). Rows may be
+    multi-output, as (seconds, assets), so all outputs of a row move together. Both
+    models are scored on the same resample, so the comparison is paired. The p-value is
+    the exact fraction of resamples whose difference is <= 0. Resamples on which the
+    metric is undefined (e.g. one-class label draws) are redrawn, with a hard cap on
+    total draws.
 
-    Both built-in metrics score a resample from its row counts. Metric "r2" uses four row
-    sums; centering the target on its full-sample mean keeps the one-pass total sum of
-    squares accurate at log-RV's mean near -15. Where that sum is not clearly positive, the
-    rows are gathered and scored exactly. Metric "auroc" counts each class per tie group of
-    one sort of the scores (Mann-Whitney), bitwise `auroc` of the gathered rows. A callable
-    metric scores the gathered rows. Non-finite inputs, which would give p = 0, are refused.
+    Metric "r2" scores a resample from running totals of four row sums, O(k) each;
+    centering the target on its full-sample mean keeps the one-pass total sum of squares
+    accurate at log-RV's mean near -15. Where that sum is not clearly positive, the rows
+    are gathered and scored exactly. Metric "auroc" counts each class per tie group of one
+    sort of the scores (Mann-Whitney) from the blocks' row counts, bitwise `auroc` of the
+    gathered rows. A callable metric scores the gathered rows. Non-finite inputs, which
+    would give p = 0, are refused.
     """
     fn = METRICS[metric] if isinstance(metric, str) else metric
     y = np.asarray(y_true)
@@ -130,13 +136,20 @@ def paired_bootstrap(
     observed = float(fn(y, a)) - float(fn(y, b))
     rng = np.random.default_rng(seed)
     n = len(y)
+    length = 1
+    while length ** 3 < n:
+        length += 1
+    k = -(-n // length)
     if metric == "r2":
         yf, af, bf = (np.asarray(v, dtype=np.float64).reshape(n, -1) for v in (y, a, b))
-        row_sums, work = np.empty((4, n)), np.empty_like(yf)  # one row-by-width buffer for every sum
-        for i, pred in enumerate((af, bf)):  # the squared errors, then the centred target and its square
-            np.square(np.subtract(yf, pred, out=work), out=work).sum(1, out=row_sums[i])
-        np.subtract(yf, yf.mean(), out=work).sum(1, out=row_sums[2])
-        np.square(work, out=work).sum(1, out=row_sums[3])
+        # running totals, row i + 1 the sums over rows <= i: squared errors of A and B,
+        # then the centred target and its square
+        totals, work = np.zeros((n + 1, 4)), np.empty_like(yf)
+        for i, pred in enumerate((af, bf)):
+            np.square(np.subtract(yf, pred, out=work), out=work).sum(1, out=totals[1:, i])
+        np.subtract(yf, yf.mean(), out=work).sum(1, out=totals[1:, 2])
+        np.square(work, out=work).sum(1, out=totals[1:, 3])
+        np.cumsum(totals, axis=0, out=totals)
     elif metric == "auroc":
         pos = y.ravel() == 1
         width = pos.size // n  # scores per row; `auroc` pools them
@@ -149,15 +162,22 @@ def paired_bootstrap(
     while filled < n_resamples:
         if draws >= max_draws:
             raise ValueError("too many degenerate resamples; metric rarely defined")
-        idx = rng.integers(0, n, size=n)
+        starts = rng.integers(0, n, size=k)
         draws += 1
+        ends = starts + length
+        ends[-1] -= k * length - n  # cut the last block: n rows in all
+        wraps = ends > n
+        ends[wraps] -= n  # a block that wraps is rows [start, n) and [0, end)
         diff = None
-        counts = np.bincount(idx, minlength=n)
         if metric == "r2":
-            ss_a, ss_b, s_c, s_c2 = row_sums @ counts.astype(np.float64)
+            ss_a, ss_b, s_c, s_c2 = ((totals.take(ends, 0) - totals.take(starts, 0)).sum(0)
+                                     + np.count_nonzero(wraps) * totals[n])
             ss_tot = s_c2 - s_c * s_c / yf.size
             diff = float((ss_b - ss_a) / ss_tot) if ss_tot > 1e-9 * s_c2 else None
         elif metric == "auroc":
+            steps = np.bincount(starts, minlength=n + 1) - np.bincount(ends, minlength=n + 1)
+            steps[0] += np.count_nonzero(wraps)
+            counts = np.cumsum(steps[:n])
             n_pos = int(counts @ pos_per_row)
             pairs = n_pos * (n * width - n_pos)
             if pairs == 0:  # one class: undefined, as `auroc` would raise
@@ -165,6 +185,7 @@ def paired_bootstrap(
             diff = (_auroc_from_counts(counts, *sorted_a, pairs)
                     - _auroc_from_counts(counts, *sorted_b, pairs))
         if diff is None:
+            idx = (starts[:, None] + np.arange(length)).ravel()[:n] % n
             try:
                 diff = float(fn(y[idx], a[idx])) - float(fn(y[idx], b[idx]))
             except ValueError:
@@ -176,6 +197,7 @@ def paired_bootstrap(
         observed_diff=observed,
         p_value=n_failing / n_resamples,
         n_resamples=n_resamples,
+        block_length=length,
         n_failing=n_failing,
         samples=samples,
     )

@@ -81,9 +81,9 @@ def test_01_reconstruction_direction_autoencoder_beats_pca(verdict):
     search = random_search_ae(train, val, iterations=20, seed=0, max_epochs=30)
     pca = fit_pca(returns.select_sessions(0, 16).returns, 2)
 
-    actual = test.returns.ravel()
-    ae_pred = reconstruct_series(search.best_model, test).reconstructed.ravel()
-    pca_pred = pca_reconstruction(pca, test).reconstructed.ravel()
+    actual = test.returns  # (seconds, assets): the bootstrap moves whole seconds
+    ae_pred = reconstruct_series(search.best_model, test).reconstructed
+    pca_pred = pca_reconstruction(pca, test).reconstructed
     r2_ae = r_squared(actual, ae_pred)
     r2_pca = r_squared(actual, pca_pred)
     boot = paired_bootstrap(actual, ae_pred, pca_pred, metric="r2",

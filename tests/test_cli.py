@@ -365,6 +365,8 @@ def test_report_outputs(run):
     block = report["reconstruction"]
     assert block["status"] == "ok"
     assert 0.0 <= block["p_value"] <= 1.0
+    # whole seconds: 4 test sessions of 23,399 one-second rows, and 45**3 < 93,596 <= 46**3
+    assert block["n_resamples"] == 500 and block["block_length"] == 46
     assert -1.0 < block["r2_autoencoder"] <= 1.0
     assert -1.0 < block["r2_pca"] <= 1.0
     assert set(report["forecast"]) == {"regression", "classification"}

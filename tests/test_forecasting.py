@@ -1,5 +1,7 @@
 """Forecasting stack: feature assembly, four model families, CV random search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -644,7 +646,7 @@ def test_search_one_point_grid_refits_the_winner_on_everything():
     assert [t.arm for t in result.trials] == list(range(5))
     assert all(t.params == {"alpha": 0.1, "fit_intercept": True} for t in result.trials)
     assert all(t.mean_score == result.best_score for t in result.trials)
-    assert all(len(t.fold_scores) == 3 for t in result.trials)
+    assert all(len(t.fold_scores) == 3 and t.folds_scored == 3 for t in result.trials)
     direct = fit_ridge(ds.features, ds.target, 0.1, True)
     np.testing.assert_array_equal(result.model.coef, direct.coef)
     assert result.model.intercept == direct.intercept
@@ -686,6 +688,30 @@ def test_search_classification_with_oversampled_folds():
     assert np.all((p > 0) & (p < 1))
     assert all(t.error is None for t in result.trials)
     assert result.best_score <= 1.0
+
+
+def test_search_skips_a_fold_whose_validation_block_holds_one_class():
+    # 41 rows with 6 crashes in 3 folds of 14, 14 and 13 rows: the middle block has none
+    rng = np.random.default_rng(19)
+    y = np.zeros(41, dtype=np.int64)
+    y[[2, 5, 9, 30, 34, 38]] = 1
+    x = np.column_stack([y + rng.normal(size=41) * 0.8, rng.normal(size=41)])
+    ds = ForecastDataset(
+        features=x, target=y, feature_names=("rv_5min", "rv_1hour"),
+        feature_times=np.arange(41), target_times=np.arange(41) + 1,
+        horizon=FIVE_MIN, include_arr=False, task="classification",
+    )
+    assert y[chronological_folds(41, 3)[1]].max() == 0
+    result = random_search_cv(ds, "logistic_l1", grid={"c": (1.0, 10.0)},
+                              iterations=3, folds=3, seed=4)
+    assert all(t.error is None for t in result.trials)
+    assert all(t.folds_scored == 2 and len(t.fold_scores) == 2 for t in result.trials)
+    assert result.best_score == max(t.mean_score for t in result.trials)
+    # no block holds both classes: the cell fails with that reason
+    one_class_blocks = dataclasses.replace(ds, target=np.repeat([1, 0], [21, 20]))
+    with pytest.raises(ValueError, match="^no CV fold holds both classes$"):
+        random_search_cv(one_class_blocks, "logistic_l1", grid={"c": (1.0,)},
+                         iterations=2, folds=2, seed=4)
 
 
 def test_search_is_deterministic_and_validates_family():

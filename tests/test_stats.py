@@ -1,12 +1,14 @@
 """Evaluation statistics vs independent oracles: R^2, AUROC, Spearman, bootstrap, KDE."""
 
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrkit.stats import (
@@ -266,8 +268,46 @@ def test_bootstrap_validation_and_one_class_observed():
         paired_bootstrap(np.arange(5.0), np.ones(5), np.ones(5), n_resamples=0)
 
 
+def _replay_block_draws(seed, n, count):
+    """The first `count` block starts a bootstrap of n rows draws from `seed`, and L."""
+    length = next(L for L in itertools.count(1) if L ** 3 >= n)
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n, size=-(-n // length)) for _ in range(count)], length
+
+
+def _block_rows(starts, n, length):
+    """Rows of one resample: a circular block of `length` rows from each start, wrapping
+    past row n - 1, the whole cut to n rows."""
+    rows = [(s + j) % n for s in starts for j in range(length)]
+    return np.array(rows[:n])
+
+
+@pytest.mark.parametrize("n,width", [(1, 2), (10, 1), (29, 3), (101, 1)])
+def test_bootstrap_resample_is_the_circular_blocks_of_its_replayed_starts(n, width):
+    y = np.arange(n * width, dtype=np.float64).reshape(n, width)
+    seen = []
+
+    def record(y_true, pred):
+        seen.append(np.array(y_true))
+        return 0.0
+
+    n_resamples = 30
+    res = paired_bootstrap(y, y, y, metric=record, n_resamples=n_resamples, seed=11)
+    draws, length = _replay_block_draws(11, n, n_resamples)
+    assert res.block_length == length
+    if n > 1:  # some block wraps, and (n not a multiple of L) the last one is cut
+        assert any(s + length > n for starts in draws for s in starts[:-1])
+        assert n % length != 0
+    assert len(seen) == 2 + 2 * n_resamples  # the full sample for A and B, then each resample
+    for i, starts in enumerate(draws):
+        rows = _block_rows(starts, n, length)
+        for got in seen[2 + 2 * i: 4 + 2 * i]:
+            np.testing.assert_array_equal(got, y[rows])
+
+
 def _same_as_gathering(y, a, b, n_resamples, seed):
-    """metric="r2" scores resamples from row counts; r_squared as a callable gathers rows."""
+    """metric="r2" scores resamples from running row totals; r_squared as a callable
+    gathers the rows."""
     fast = paired_bootstrap(y, a, b, metric="r2", n_resamples=n_resamples, seed=seed)
     slow = paired_bootstrap(y, a, b, metric=r_squared, n_resamples=n_resamples, seed=seed)
     assert fast.observed_diff == slow.observed_diff
@@ -299,10 +339,9 @@ def test_bootstrap_r2_from_row_counts_redraws_constant_target_resamples():
     a = np.array([0.01, -0.02, 0.12])
     b = np.array([0.03, 0.01, 0.05])
     seed, n_resamples = 2, 40
-    # replay the draws: some resample takes only the two equal targets
-    rng = np.random.default_rng(seed)
-    draws = [rng.integers(0, 3, size=3) for _ in range(2 * n_resamples)]
-    assert any(np.unique(y[idx]).size == 1 for idx in draws[:n_resamples])
+    # replay the block draws: some resample takes only the two equal targets
+    draws, length = _replay_block_draws(seed, 3, 2 * n_resamples)
+    assert any(np.unique(y[_block_rows(s, 3, length)]).size == 1 for s in draws[:n_resamples])
     res = _same_as_gathering(y, a, b, n_resamples, seed)
     assert np.all(np.isfinite(res.samples))
 
@@ -355,9 +394,8 @@ def test_bootstrap_auroc_from_row_counts_redraws_rare_positive_resamples():
     a = np.round(labels + rng.normal(size=30), 1)  # rounded: ties within and across classes
     b = np.round(rng.normal(size=30), 1)
     seed, n_resamples = 3, 300
-    replay = np.random.default_rng(seed)
-    draws = [replay.integers(0, 30, size=30) for _ in range(n_resamples)]
-    assert any(labels[idx].max() == 0.0 for idx in draws)  # some draws are redrawn
+    draws, length = _replay_block_draws(seed, 30, n_resamples)
+    assert any(labels[_block_rows(s, 30, length)].max() == 0.0 for s in draws)  # some are redrawn
     res = _auroc_same_as_gathering(labels, a, b, n_resamples, seed)
     assert 0 < res.n_failing < n_resamples
 
@@ -368,16 +406,42 @@ def test_bootstrap_auroc_from_row_counts_all_equal_scores():
     assert res.observed_diff == 0.0 and np.all(res.samples == 0.0)
 
 
-def test_bootstrap_auroc_from_row_counts_exhausts_draws_like_the_gathered_path():
-    labels, a, b = np.array([1.0, 0.0]), np.array([0.2, 0.1]), np.array([0.1, 0.2])
-    seed = 2610746  # found by search: its first 20 draws of two rows repeat one row
-    replay = np.random.default_rng(seed)
-    assert all(len(set(replay.integers(0, 2, size=2).tolist())) == 1 for _ in range(20))
+class _ScriptedStarts:
+    """Stands in for the bootstrap's generator: draw d returns the block starts
+    `script(d)`, so a test can choose a run of degenerate draws no seed would give."""
+
+    def __init__(self, script):
+        self.script, self.draws = script, 0
+
+    def integers(self, low, high, size):
+        starts = np.array(self.script(self.draws))
+        assert starts.shape == (size,) and low <= starts.min() and starts.max() < high
+        self.draws += 1
+        return starts
+
+
+def test_bootstrap_auroc_from_row_counts_exhausts_draws_like_the_gathered_path(monkeypatch):
+    # 3 rows make k = 2 blocks of L = 2, the second cut to one row: starts (1, 2) take rows
+    # 1, 2, 2, one class; starts (2, 0) take rows 2, 0, 0, both (a block wraps). A run of
+    # 20 one-class block draws has a chance below 1e-13, so the starts are scripted.
+    labels, a, b = np.array([1.0, 0.0, 0.0]), np.array([0.3, 0.1, 0.2]), np.array([0.0, 0.1, 0.2])
+
+    def run(metric, n_resamples, script):
+        gen = _ScriptedStarts(script)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: gen)
+        try:
+            return paired_bootstrap(labels, a, b, metric=metric, n_resamples=n_resamples, seed=0)
+        finally:
+            assert gen.draws == 20 * n_resamples
+
     for metric in ("auroc", auroc):
         with pytest.raises(ValueError, match="^too many degenerate resamples; metric rarely defined$"):
-            paired_bootstrap(labels, a, b, metric=metric, n_resamples=1, seed=seed)
-    # two resamples allow 40 draws, and two of the last 20 find both classes
-    _auroc_same_as_gathering(labels, a, b, n_resamples=2, seed=seed)
+            run(metric, 1, lambda d: [1, 2])
+    # two resamples allow 40 draws, and the last two find both classes
+    script = lambda d: [2, 0] if d >= 38 else [1, 2]  # noqa: E731
+    fast, slow = (run(metric, 2, script) for metric in ("auroc", auroc))
+    assert fast.samples.tobytes() == slow.samples.tobytes()
+    assert fast.n_failing == slow.n_failing == 0  # A ranks the positive first, B last
 
 
 def test_bootstrap_auroc_from_row_counts_at_a_test_year_of_windows():
@@ -404,8 +468,76 @@ def test_bootstrap_refuses_non_finite_inputs(metric, which, bad):
         paired_bootstrap(*args, metric=metric, n_resamples=50, seed=0)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 500), st.integers(1, 3), st.sampled_from([0.0, -15.0]), st.integers(0, 2**32 - 1))
+@example(1, 2, 0.0, 0)
+@example(2, 1, 0.0, 0)
+def test_block_bootstrap_fast_paths_match_the_gathered_rows(n, width, mean, seed):
+    """Over wrapped blocks, cut last blocks and multi-output rows: r2 from running totals
+    to 1e-12 of `r_squared` on the gathered rows, auroc from row counts bitwise.
+
+    The targets are distinct and evenly spaced (shuffled, unit variance). Two nearly equal
+    targets would let a small resample's total sum of squares cancel to a few digits, on
+    this path and on the gathered one alike, and its R^2 difference run into thousands.
+    """
+    assume(n * width >= 2)
+    rng = np.random.default_rng(seed)
+    shape = (n,) if width == 1 else (n, width)
+    y = mean + (rng.permutation(n * width).reshape(shape) / (n * width) - 0.5) * 12 ** 0.5
+    a = y + rng.normal(size=shape) * 0.7
+    b = y + rng.normal(size=shape) * 0.72
+    _same_as_gathering(y, a, b, n_resamples=20, seed=seed)
+    labels = (rng.random(shape) < 0.5).astype(np.float64)
+    if labels.min() == labels.max():
+        labels.flat[0] = 1.0 - labels.flat[0]
+    _auroc_same_as_gathering(labels, np.round(a, 1), np.round(b, 1), n_resamples=20, seed=seed)
+
+
+def test_block_bootstrap_holds_its_size_where_iid_rows_do_not():
+    """An AR(1) target (phi 0.9, n 400) and two equally good predictions whose errors
+    persist over four rows: at alpha 0.05 the i.i.d. row bootstrap rejects the true null
+    far too often, and the circular block bootstrap close to 5% of the time."""
+    reps, n, n_resamples, burn = 200, 400, 200, 100
+    rng = np.random.default_rng(25)
+    shocks = rng.normal(size=(reps, n + burn))
+    y = shocks.copy()
+    for t in range(1, n + burn):
+        y[:, t] += 0.9 * y[:, t - 1]
+    y = y[:, burn:]
+    white = rng.normal(size=(2, reps, n + 3))
+    errors = (white[..., 3:] + white[..., 2:-1] + white[..., 1:-2] + white[..., :-3]) / 2
+    rejected = {"iid": 0, "block": 0}
+    for r in range(reps):
+        a, b = y[r] + errors[0, r], y[r] + errors[1, r]
+        # a resample's R^2 difference has the sign of its summed loss differential
+        loss_diff = (y[r] - b) ** 2 - (y[r] - a) ** 2
+        iid = loss_diff[rng.integers(0, n, size=(n_resamples, n))].sum(1)
+        rejected["iid"] += np.mean(iid <= 0.0) < 0.05
+        rejected["block"] += paired_bootstrap(y[r], a, b, n_resamples=n_resamples, seed=r).p_value < 0.05
+    se = np.sqrt(0.05 * 0.95 / reps)  # binomial standard error at the nominal level
+    assert rejected["iid"] / reps > 0.05 + 4 * se
+    assert abs(rejected["block"] / reps - 0.05) <= 2 * se
+
+
+def test_bootstrap_r2_allocates_running_totals_and_one_row_by_width_buffer():
+    """Beyond its inputs the r2 path holds 32 B of running totals per row and one
+    row-by-width work buffer; a doubled prefix of the totals would add 32 B a row more."""
+    n, width = 20_000, 5
+    rng = np.random.default_rng(26)
+    y = rng.normal(size=(n, width))
+    a, b = y + rng.normal(size=(n, width)), y + rng.normal(size=(n, width))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        paired_bootstrap(y, a, b, n_resamples=50, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n + 8 * n * width + 2**16
+
+
 def test_p_string_mid_range_formatting():
-    res = BootstrapResult(0.1, 0.124, 500, 62, np.zeros(500))
+    res = BootstrapResult(0.1, 0.124, 500, 8, 62, np.zeros(500))
     assert res.p_string() == "p=0.124"
 
 
