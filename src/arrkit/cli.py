@@ -69,7 +69,7 @@ def main(argv=None) -> int:
             print(f"train: wrote {', '.join(manifest['outputs'])}")
         elif args.verb == "arr":
             manifest = cmd_arr(cfg, out_dir)
-            print(f"arr: {len(manifest['outputs'])} series files")
+            print(f"arr: {sum(n.endswith('.csv') for n in manifest['outputs'])} series files")
         elif args.verb == "analyze":
             manifest = cmd_analyze(cfg, out_dir)
             ok = sum(c["status"] == "ok" for c in manifest["cells"])

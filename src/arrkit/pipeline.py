@@ -40,10 +40,12 @@ from .returns_metrics import (
     RiskSeries,
     crash_labels,
     drawdown,
+    five_minute_closes,
+    five_minute_sums,
     log_returns,
     realized_variance,
-    sample_price_series,
     session_five_minute_sums,
+    window_closes,
     window_sums,
     winsorize,
 )
@@ -56,7 +58,7 @@ from .serialization import (
     write_csv,
     write_json,
 )
-from .stats import KdeGrid, auroc, kde2d, paired_bootstrap, r_squared, spearman
+from .stats import KdeGrid, auroc, bucket_r2_bootstrap, kde2d, paired_bootstrap, r_squared, spearman
 
 ANALYZE_METRICS = ("returns", "log_rv", "drawdown")
 
@@ -125,21 +127,32 @@ def _calendar_from_dict(data: dict) -> SessionCalendar:
     )
 
 
-def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
-    """The tick panel a stage works on: the data stage's panel.npz and calendar."""
+def _require(verb: str, *paths) -> None:
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        raise StageError(f"cmd_{verb} outputs missing", details={"missing": missing})
+
+
+def load_calendar(cfg: RunConfig, out_dir) -> SessionCalendar:
+    """The data stage's calendar, refused if that stage ran on another data config."""
     data_dir = os.path.join(out_dir, "data")
-    panel_path = os.path.join(data_dir, "panel.npz")
     cal_path = os.path.join(data_dir, "calendar.json")
     manifest_path = os.path.join(data_dir, "manifest.json")
-    missing = [p for p in (panel_path, cal_path, manifest_path) if not os.path.exists(p)]
-    if missing:
-        raise StageError("cmd_generate outputs missing", details={"missing": missing})
+    _require("generate", cal_path, manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as fh:
         hashes = {"expected": data_hash(cfg), "found": json.load(fh).get("data_hash")}
     if hashes["found"] != hashes["expected"]:
-        raise StageError(f"{panel_path} is from a different data config", details=hashes)
+        raise StageError(f"{data_dir} is from a different data config", details=hashes)
     with open(cal_path, "r", encoding="utf-8") as fh:
-        calendar = _calendar_from_dict(json.load(fh))
+        return _calendar_from_dict(json.load(fh))
+
+
+def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
+    """The tick panel a stage works on: the data stage's panel.npz and calendar. Only
+    train and arr read it; the later stages read arr's buckets.npz."""
+    panel_path = os.path.join(out_dir, "data", "panel.npz")
+    _require("generate", panel_path)
+    calendar = load_calendar(cfg, out_dir)
     try:
         with np.load(panel_path, allow_pickle=False) as data:
             prices, asset_ids = data["prices"], tuple(data["asset_ids"].tolist())
@@ -148,7 +161,7 @@ def load_panel(cfg: RunConfig, out_dir) -> tuple[TickPanel, SessionCalendar]:
     if prices.shape[:1] != (calendar.n_sessions * SESSION_SECONDS,):
         raise StageError(
             f"malformed {panel_path}: prices of shape {prices.shape} for the "
-            f"{calendar.n_sessions} sessions of {cal_path}"
+            f"{calendar.n_sessions} sessions of {os.path.join(out_dir, 'data', 'calendar.json')}"
         )
     return TickPanel(calendar.opens, prices, asset_ids), calendar
 
@@ -290,45 +303,20 @@ def cmd_train(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
 # arr
 
 
-def _model_path(out_dir, source: str) -> str:
-    name = "autoencoder.json" if source == "autoencoder" else "pca.json"
-    path = os.path.join(out_dir, "models", name)
-    if not os.path.exists(path):
-        raise StageError("cmd_train outputs missing", details={"missing": [path]})
-    return path
-
-
 def reconstructor(source: str, out_dir):
     """The reconstruction of a returns panel by the serialized model of the given source."""
+    path = os.path.join(out_dir, "models", f"{source}.json")
+    _require("train", path)
     if source == "autoencoder":
-        model, _ = load_autoencoder(_model_path(out_dir, source))
+        model, _ = load_autoencoder(path)
         return lambda returns: reconstruct_series(model, returns)
-    model, _ = load_pca(_model_path(out_dir, source))
+    model, _ = load_pca(path)
     return lambda returns: pca_reconstruction(model, returns)
 
 
 def _write_arr_segments_csv(series: ArrSeries, segments, path) -> None:
     columns = (series.timestamps.tolist(), series.values.tolist(), segments.tolist())
     write_csv(path, ("timestamp", "arr", "segment"), columns)
-
-
-def read_arr_csv(path, interval: int, source: str) -> ArrSeries:
-    """Inverse of the arr-stage CSV writer: the series, without its segment flags."""
-    stamps, values = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["timestamp", "arr"]:
-            raise ValueError(f"not a ratio series file: {path}")
-        for line in fh:
-            parts = line.split(",", 2)
-            stamps.append(int(parts[0]))
-            values.append(float(parts[1]))
-    return ArrSeries(
-        timestamps=np.array(stamps, dtype=np.int64),
-        values=np.array(values, dtype=np.float64),
-        interval=interval,
-        source=source,
-    )
 
 
 def arr_file_name(source: str, interval: int, smoothed: bool = False) -> str:
@@ -338,19 +326,33 @@ def arr_file_name(source: str, interval: int, smoothed: bool = False) -> str:
 
 def cmd_arr(cfg: RunConfig, out_dir) -> dict:
     """Reconstruction-ratio series at every configured frequency for each trained model
-    source, plus the EWMA-smoothed five-minute series, with segment flags."""
+    source, plus the EWMA-smoothed five-minute series, with segment flags; and buckets.npz,
+    the (S, 78) five-minute sums that the later stages read in place of the panel: the
+    sector assets' returns, squared returns and each source's squared errors, each summed
+    over assets, and the market's (asset 0's) returns, squared returns and closing prices."""
     ticks, calendar = load_panel(cfg, out_dir)
     sources = _selected_sources(cfg)
     reconstructors = [reconstructor(source, out_dir) for source in sources]
 
-    def squares(returns):  # one session: its squared returns, then each source's errors
-        sq_ret = np.einsum("ij,ij->i", returns.returns, returns.returns)
-        return (sq_ret, *(squared_error(reconstruct(returns)) for reconstruct in reconstructors))
+    def sums(returns):  # one session, summed over its sector assets
+        r = returns.returns
+        errors = (squared_error(reconstruct(returns)) for reconstruct in reconstructors)
+        return (r.sum(1), np.einsum("ij,ij->i", r, r), *errors)
 
-    ret_fives, *err_fives = session_five_minute_sums(ticks, squares, _sector_columns(cfg))
+    sum_fives, ret_fives, *err_fives = session_five_minute_sums(ticks, sums, _sector_columns(cfg))
+    market = session_five_minute_sums(
+        ticks, lambda r: (r.returns[:, 0], r.returns[:, 0] ** 2), slice(0, 1))
     directory = stage_dir(out_dir, "arr")
+    np.savez(
+        os.path.join(directory, "buckets.npz"),
+        returns=sum_fives, sq_returns=ret_fives,
+        **{f"sq_error_{source}": fives for source, fives in zip(sources, err_fives)},
+        market_returns=market[0], market_sq_returns=market[1],
+        market_closes=five_minute_closes(ticks.prices[:, 0], len(ticks.opens)),
+        market_asset=np.array(ticks.asset_ids[0]),
+    )
     fit_end = cfg.splits.fit_range[1]
-    outputs = []
+    outputs = ["buckets.npz"]
 
     def segments_of(series: ArrSeries):
         sess = _session_of(series.timestamps, calendar)
@@ -388,27 +390,32 @@ def cmd_arr(cfg: RunConfig, out_dir) -> dict:
 # analyze
 
 
-def _market_base(ticks: TickPanel) -> list:
-    """Five-minute sums of the market's (asset 0's) one-second returns and of their squares."""
-    market = slice(0, 1)
-    return session_five_minute_sums(ticks, lambda r: (r.returns[:, 0], r.returns[:, 0] ** 2), market)
+def load_buckets(cfg: RunConfig, out_dir) -> tuple[dict, SessionCalendar]:
+    """The arrays of arr's buckets.npz (see `cmd_arr`) by name, and the data calendar: all
+    that the stages after arr read of the panel."""
+    calendar = load_calendar(cfg, out_dir)
+    path = os.path.join(out_dir, "arr", "buckets.npz")
+    _require("arr", path)
+    names = ("returns", "sq_returns", "market_returns", "market_sq_returns", "market_closes",
+             "market_asset", *(f"sq_error_{source}" for source in _selected_sources(cfg)))
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in names}, calendar
+    except (zipfile.BadZipFile, KeyError) as exc:
+        raise StageError(f"malformed {path}: {exc}") from exc
 
 
-def _market_returns(ret_fives, opens, freq: int) -> RiskSeries:
-    """The market's log returns over `freq` windows, summed from its five-minute sums."""
-    stamps, sums = window_sums(ret_fives, opens, freq)
-    return RiskSeries(stamps, sums, "return")
+def _ratio_series(buckets: dict, source: str, opens, freq: int):
+    return ratio_series(buckets[f"sq_error_{source}"], buckets["sq_returns"], opens, freq, source)
 
 
-def _metric_series(ticks: TickPanel, market, metric: str, freq: int):
-    ret_fives, sq_fives = market
+def _market_series(buckets: dict, opens, metric: str, freq: int) -> RiskSeries:
+    """The market's returns, log realized variance or drawdown over `freq` windows."""
     if metric == "returns":
-        series = _market_returns(ret_fives, ticks.opens, freq)
-    elif metric == "log_rv":
-        series = realized_variance(sq_fives, ticks.opens, freq)
-    else:
-        series = drawdown(*sample_price_series(ticks, freq, ticks.asset_ids[0]))
-    return series.timestamps, series.values
+        return RiskSeries(*window_sums(buckets["market_returns"], opens, freq), "return")
+    if metric == "log_rv":
+        return realized_variance(buckets["market_sq_returns"], opens, freq)
+    return drawdown(*window_closes(buckets["market_closes"], opens, freq))
 
 
 def _write_kde_csv(grid: KdeGrid, path) -> None:
@@ -423,23 +430,17 @@ def _write_kde_csv(grid: KdeGrid, path) -> None:
 def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
     """Joint KDE grids and rank correlations of the reconstruction ratio against market
     returns, log realized variance, and drawdown, at every configured frequency."""
-    ticks, _ = load_panel(cfg, out_dir)
-    market = ticks.asset_ids[0]
-    base = _market_base(ticks)
-    source = cfg.resolved_analyze_source()
+    buckets, calendar = load_buckets(cfg, out_dir)
+    opens, source = calendar.opens, cfg.resolved_analyze_source()
     directory = stage_dir(out_dir, "analyze")
-    arr_dir = os.path.join(out_dir, "arr")
 
     cells, outputs = [], []
     for freq in cfg.frequencies:
-        arr_path = os.path.join(arr_dir, arr_file_name(source, freq))
-        if not os.path.exists(arr_path):
-            raise StageError("cmd_arr outputs missing", details={"missing": [arr_path]})
-        arr_series = read_arr_csv(arr_path, freq, source)
+        arr_series = _ratio_series(buckets, source, opens, freq)
         for metric in ANALYZE_METRICS:
-            ts_m, vals_m = _metric_series(ticks, base, metric, freq)
+            series = _market_series(buckets, opens, metric, freq)
             stamps, metric_vals, arr_vals = align_series(
-                ts_m, vals_m, arr_series.timestamps, arr_series.values
+                series.timestamps, series.values, arr_series.timestamps, arr_series.values
             )
             cell = {
                 "metric": metric,
@@ -482,7 +483,7 @@ def cmd_analyze(cfg: RunConfig, out_dir) -> dict:
         "analyze",
         cfg,
         outputs,
-        extra={"source": source, "market_asset": market, "cells": cells},
+        extra={"source": source, "market_asset": str(buckets["market_asset"]), "cells": cells},
     )
 
 
@@ -523,21 +524,13 @@ def _forecast_cell(job) -> dict:
                 p_string=boot.p_string())
 
 
-def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar, out_dir):
+def _forecast_tasks(cfg: RunConfig, buckets: dict, calendar: SessionCalendar):
     """Build the 24-cell work list: per-horizon paired datasets × families × tasks."""
     if set(FREQUENCIES) - set(cfg.frequencies):
         raise StageError("forecasting needs all four frequencies configured")
-    source = cfg.resolved_analyze_source()
-    arr_dir = os.path.join(out_dir, "arr")
-    ret_fives, sq_fives = _market_base(ticks)
-
-    log_rv, arr = {}, {}
-    for freq in FREQUENCIES:
-        log_rv[freq] = realized_variance(sq_fives, ticks.opens, freq)
-        path = os.path.join(arr_dir, arr_file_name(source, freq))
-        if not os.path.exists(path):
-            raise StageError("cmd_arr outputs missing", details={"missing": [path]})
-        arr[freq] = read_arr_csv(path, freq, source)
+    source, opens = cfg.resolved_analyze_source(), calendar.opens
+    log_rv = {freq: _market_series(buckets, opens, "log_rv", freq) for freq in FREQUENCIES}
+    arr = {freq: _ratio_series(buckets, source, opens, freq) for freq in FREQUENCIES}
 
     test_lo, test_hi = cfg.splits.test
     tasks = []
@@ -545,7 +538,7 @@ def _forecast_tasks(cfg: RunConfig, ticks: TickPanel, calendar: SessionCalendar,
         if horizon not in cfg.horizons:
             continue
         labels = crash_labels(
-            _market_returns(ret_fives, ticks.opens, horizon), cfg.crash_half_life, cfg.crash_threshold
+            _market_series(buckets, opens, "returns", horizon), cfg.crash_half_life, cfg.crash_threshold
         )
         for ti, task in enumerate(("regression", "classification")):
             crash = labels if task == "classification" else None
@@ -591,8 +584,7 @@ def _row_order(row: dict) -> tuple:
 def cmd_forecast(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
     """The with/without-ratio forecasting grid: horizons × families × both tasks, its
     cells on up to `threads` worker processes (default: the usable CPUs)."""
-    ticks, calendar = load_panel(cfg, out_dir)
-    tasks = _forecast_tasks(cfg, ticks, calendar, out_dir)
+    tasks = _forecast_tasks(cfg, *load_buckets(cfg, out_dir))
     rows = map_arms(_forecast_cell, tasks, workers=threads)
     rows.sort(key=_row_order)
     if rows and all(r["status"] == "failed" for r in rows):
@@ -622,27 +614,22 @@ def cmd_forecast(cfg: RunConfig, out_dir, threads: int | None = None) -> dict:
 # report
 
 
-def _reconstruction_block(cfg: RunConfig, out_dir) -> dict:
+def _reconstruction_block(cfg: RunConfig, out_dir, n_sectors: int) -> dict:
     if cfg.models != "both":
         return {"status": "skipped", "reason": "needs both model sources trained"}
-    ticks, _ = load_panel(cfg, out_dir)
-    test = log_returns(ticks.select_sessions(*cfg.splits.test, _sector_columns(cfg)), 1)
-    # (seconds, assets): a resample moves whole seconds, all assets of one together
-    pred = {source: reconstructor(source, out_dir)(test).reconstructed
-            for source in ("autoencoder", "pca")}
-    actual = test.returns
-    boot = paired_bootstrap(
-        actual,
-        pred["autoencoder"],
-        pred["pca"],
-        metric="r2",
-        seed=_seed_from(101, base=cfg.seed),
-    )
+    lo, hi = cfg.splits.test
+    buckets, _ = load_buckets(cfg, out_dir)
+    names = ("sq_error_autoencoder", "sq_error_pca", "returns", "sq_returns")
+    test = [buckets[name][lo:hi] for name in names]
+    # a bucket holds 300 seconds of every sector asset, the last of a session 299; a
+    # resample moves whole buckets
+    cells = n_sectors * five_minute_sums(np.ones(SESSION_SECONDS - 1))
+    r2_ae, r2_pca, boot = bucket_r2_bootstrap(*test, cells, seed=_seed_from(101, base=cfg.seed))
     return {
         "status": "ok",
         "test_sessions": list(cfg.splits.test),
-        "r2_autoencoder": r_squared(actual, pred["autoencoder"]),
-        "r2_pca": r_squared(actual, pred["pca"]),
+        "r2_autoencoder": r2_ae,
+        "r2_pca": r2_pca,
         "observed_diff": boot.observed_diff,
         "p_value": boot.p_value,
         "p_string": boot.p_string(),
@@ -673,6 +660,7 @@ def cmd_report(cfg: RunConfig, out_dir) -> dict:
             manifests[stage] = manifest
     if missing:
         raise StageError("; ".join(missing), details={"missing": missing})
+    load_calendar(cfg, out_dir)  # refuses a run directory of another data config
 
     with open(os.path.join(out_dir, "forecast", "results.json"), "r", encoding="utf-8") as fh:
         cells = json.load(fh)["cells"]
@@ -682,7 +670,9 @@ def cmd_report(cfg: RunConfig, out_dir) -> dict:
         "seed": cfg.seed,
         "generated_at": _utc_now(),
         "stages": manifests,
-        "reconstruction": _reconstruction_block(cfg, out_dir),
+        "reconstruction": _reconstruction_block(
+            cfg, out_dir, len(manifests["models"]["sector_ids"])
+        ),
         "forecast": {
             task: [row for row in cells if row["task"] == task]
             for task in ("regression", "classification")

@@ -219,15 +219,18 @@ def drawdown(timestamps: np.ndarray, prices: np.ndarray) -> RiskSeries:
     return RiskSeries(np.asarray(timestamps), dd, "drawdown")
 
 
-def sample_price_series(panel: TickPanel, interval: int, asset_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """Prices at window right edges (the final print of each window) for one asset."""
-    col = panel.prices[:, panel.asset_ids.index(asset_id)]
-    if len(col) != len(panel.opens) * SESSION_SECONDS:
-        raise ValueError("incomplete session: expected a full 6.5-hour grid")
-    stamps, ends = _window_edges(panel.opens, interval)
-    # the price at or before each edge: an edge at the close takes the session's last second
-    offsets = np.minimum(stamps - panel.opens[ends], SESSION_SECONDS - 1)
-    return stamps, col[ends * SESSION_SECONDS + offsets]
+def five_minute_closes(prices: np.ndarray, n_sessions: int) -> np.ndarray:
+    """(S, 78) prices at each five-minute bucket's close, from one asset's per-second
+    prices of S full sessions; a session's last bucket closes at its last second."""
+    offsets = np.minimum(np.arange(FIVE_MIN, SESSION_SECONDS + 1, FIVE_MIN), SESSION_SECONDS - 1)
+    return np.asarray(prices).reshape(n_sessions, SESSION_SECONDS)[:, offsets]
+
+
+def window_closes(closes: np.ndarray, opens: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(stamps, prices) at every aligned window's right edge, from the `five_minute_closes`
+    of the sessions opening at `opens`: every window edge is a five-minute edge."""
+    stamps, ends = _window_edges(opens, window)
+    return stamps, closes[ends, (stamps - opens[ends]) // FIVE_MIN - 1]
 
 
 # ---------------------------------------------------------------------------

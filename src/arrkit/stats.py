@@ -203,6 +203,30 @@ def paired_bootstrap(
     )
 
 
+def bucket_r2_bootstrap(sse_a, sse_b, sum_y, sum_y2, cells, n_resamples: int = 500,
+                        seed: int = 0) -> tuple[float, float, BootstrapResult]:
+    """(R^2 of A, R^2 of B, `paired_bootstrap`'s test of R^2(A) > R^2(B)) from bucket sums.
+
+    A bucket is a run of consecutive cells, such as five minutes of every asset, given by
+    each model's summed squared errors, the target's sum and sum of squares, and its count
+    of cells, which may differ between buckets. A bucket is a row of the bootstrap, so a
+    resample is circular blocks of whole buckets.
+    """
+    target = np.stack(np.broadcast_arrays(sum_y, sum_y2, cells), -1).reshape(-1, 3)
+    sse = [np.ravel(v) for v in (sse_a, sse_b)]
+    boot = paired_bootstrap(target, *sse, metric=_bucket_r2, n_resamples=n_resamples, seed=seed)
+    return _bucket_r2(target, sse[0]), _bucket_r2(target, sse[1]), boot
+
+
+def _bucket_r2(target, sse) -> float:
+    """Pooled R^2 from buckets' (sum y, sum y^2, cells) rows and summed squared errors."""
+    s, s2, count = target.sum(0)
+    ss_tot = s2 - s * s / count
+    if not ss_tot > 1e-9 * s2:
+        raise ValueError("constant target: r_squared undefined")
+    return float(1.0 - sse.sum() / ss_tot)
+
+
 def _tie_groups(scores, pos, width: int):
     """Row and label of each score in sorted order, and the tie-group starts (as `rankdata`)."""
     s = np.asarray(scores, dtype=np.float64).ravel()
@@ -257,8 +281,10 @@ def kde2d(x: np.ndarray, y: np.ndarray, grid_size: int = 64) -> KdeGrid:
     hy = sy * n ** (-1.0 / 6.0)
     gx = np.linspace(x.min() - 3 * hx, x.max() + 3 * hx, grid_size)
     gy = np.linspace(y.min() - 3 * hy, y.max() + 3 * hy, grid_size)
-    kx = np.exp(-0.5 * ((gx[:, None] - x[None, :]) / hx) ** 2)
-    ky = np.exp(-0.5 * ((gy[:, None] - y[None, :]) / hy) ** 2)
+    kx, ky = np.subtract.outer(gx, x), np.subtract.outer(gy, y)
+    for k, h in ((kx, hx), (ky, hy)):  # exp(-0.5 * (k / h) ** 2) in place: one buffer each
+        np.square(np.divide(k, h, out=k), out=k)
+        np.exp(np.multiply(k, -0.5, out=k), out=k)
     density = kx @ ky.T / (n * 2.0 * np.pi * hx * hy)
     return KdeGrid(gx, gy, density, hx, hy)
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from arrkit.arr import ReconstructionResult, compute_arr, pca_reconstruction
+from arrkit.arr import ReconstructionResult, compute_arr, pca_reconstruction, squared_error
 from arrkit.autoencoder import build_ae_net, random_search_ae, reconstruct_series
 from arrkit.cli import main as cli_main
 from arrkit.config import RunConfig, SplitSpec, save_config
@@ -40,7 +40,7 @@ from arrkit.returns_metrics import (
     realized_variance,
     window_sums,
 )
-from arrkit.stats import auroc, paired_bootstrap, r_squared
+from arrkit.stats import auroc, bucket_r2_bootstrap, paired_bootstrap, r_squared
 
 
 @pytest.fixture
@@ -81,13 +81,13 @@ def test_01_reconstruction_direction_autoencoder_beats_pca(verdict):
     search = random_search_ae(train, val, iterations=20, seed=0, max_epochs=30)
     pca = fit_pca(returns.select_sessions(0, 16).returns, 2)
 
-    actual = test.returns  # (seconds, assets): the bootstrap moves whole seconds
-    ae_pred = reconstruct_series(search.best_model, test).reconstructed
-    pca_pred = pca_reconstruction(pca, test).reconstructed
-    r2_ae = r_squared(actual, ae_pred)
-    r2_pca = r_squared(actual, pca_pred)
-    boot = paired_bootstrap(actual, ae_pred, pca_pred, metric="r2",
-                            n_resamples=500, seed=1)
+    # the report's statistic: five-minute sums of every asset, a resample moving whole buckets
+    actual = test.returns
+    per_second = (squared_error(reconstruct_series(search.best_model, test)),
+                  squared_error(pca_reconstruction(pca, test)), actual.sum(1),
+                  np.einsum("ij,ij->i", actual, actual), np.full(len(actual), actual.shape[1]))
+    r2_ae, r2_pca, boot = bucket_r2_bootstrap(*(five_minute_sums(v) for v in per_second),
+                                              n_resamples=500, seed=1)
     elapsed = time.monotonic() - t0
 
     ok = r2_ae > r2_pca and boot.p_value < 0.05 and elapsed < 900.0

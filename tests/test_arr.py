@@ -227,13 +227,14 @@ def test_the_weekly_call_forms_give_the_arr_stage_week(tmp_path):
     recon = pca_reconstruction(model, log_returns(ticks, 1))
     sq_ret = np.einsum("ij,ij->i", recon.actual, recon.actual)
     fives = [five_minute_sums(v) for v in (squared_error(recon), sq_ret)]
-    stage = pipeline.read_arr_csv(
-        os.path.join(out, "arr", pipeline.arr_file_name("pca", ONE_WEEK)), ONE_WEEK, "pca"
-    )
-    np.testing.assert_array_equal(stage.timestamps, ticks.opens[4:] + ONE_DAY)
+    with open(os.path.join(out, "arr", pipeline.arr_file_name("pca", ONE_WEEK)), encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    stamps = np.array([int(row[0]) for row in rows])
+    values = np.array([float(row[1]) for row in rows])  # shortest-repr floats parse exactly
+    np.testing.assert_array_equal(stamps, ticks.opens[4:] + ONE_DAY)
     for got in (compute_arr(recon, ONE_WEEK), ratio_series(*fives, ticks.opens, ONE_WEEK, "pca")):
-        assert np.array_equal(got.timestamps, stage.timestamps)
-        assert got.values.tobytes() == stage.values.tobytes()
+        assert np.array_equal(got.timestamps, stamps)
+        assert got.values.tobytes() == values.tobytes()
         expected, _ = ewm_stats(got.values, 1.5)
         assert smooth_arr(got, 1.5).values.tobytes() == expected.tobytes()
 

@@ -11,18 +11,29 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
+from arrkit import pipeline
 from arrkit.arr import compute_arr, pca_reconstruction
+from arrkit.config import RunConfig, SplitSpec
+from arrkit.market_data import SessionCalendar, TickPanel, generate_synthetic_market
 from arrkit.pca import fit_pca
 from arrkit.returns_metrics import log_returns
+
+from conftest import small_config
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark")
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("tracing", os.path.join(BENCHMARK, "tracing.py"))
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(BENCHMARK, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _benchmark_module("tracing")
 
 
 def test_every_traced_function_resolves():
@@ -88,3 +99,29 @@ def test_the_call_forms_of_the_workloads_and_selftest_still_work(tiny_panel):
     for freq in (300, 3600):
         series = compute_arr(recon, freq)
         assert len(series) == 2 * (23400 // freq)
+
+
+def test_the_round_captures_the_panel_that_train_and_arr_load(tmp_path, monkeypatch):
+    """`round.Capture` wraps `pipeline.load_panel`, so it must still return (panel,
+    calendar), and cmd_train and cmd_arr must look it up as a module global: without the
+    capture every pipeline-synthetic check reads "no panel was loaded". The round's checks
+    also call `pipeline._selected_sources`, and the self-test `_write_arr_segments_csv`."""
+    monkeypatch.setattr(pipeline, "load_panel", pipeline.load_panel)  # given back after
+    capture = _benchmark_module("round").Capture(pipeline)
+    captured, calls = pipeline.load_panel, []
+    monkeypatch.setattr(pipeline, "load_panel",
+                        lambda cfg, out_dir: calls.append(out_dir) or captured(cfg, out_dir))
+    out = str(tmp_path / "run")
+    synth = small_config(n_assets=3, n_sessions=3, seed=4)
+    cfg = RunConfig(data_source="synthetic", splits=SplitSpec((0, 1), (1, 2), (2, 3)),
+                    synthetic=synth, models="pca", frequencies=(300, 3600, 23400), output_dir=out)
+    pipeline.cmd_generate(cfg, out)
+    pipeline.cmd_train(cfg, out, threads=1)
+    pipeline.cmd_arr(cfg, out)
+    assert calls == [out, out]
+    panel, calendar = captured(cfg, out)
+    assert isinstance(panel, TickPanel) and isinstance(calendar, SessionCalendar)
+    assert capture.panel is not None
+    assert np.array_equal(capture.panel.prices, generate_synthetic_market(synth).prices)
+    assert pipeline._selected_sources(cfg) == ("pca",)
+    assert callable(pipeline._write_arr_segments_csv)

@@ -98,10 +98,18 @@ def _refuse_csv(*args, **kwargs):
     raise AssertionError("load_tick_csv called on a synthetic run")
 
 
+def _refuse_after_arr(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called by a stage after arr")
+    return refuse
+
+
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
     """One full six-verb pipeline run shared by the assertion tests below. A synthetic
-    run reads data/panel.npz, so the CSV loader fails if any verb calls it."""
+    run reads data/panel.npz, so the CSV loader fails if any verb calls it; the stages
+    after arr read arr/buckets.npz, so the panel and model loaders fail if they call
+    them."""
     root = tmp_path_factory.mktemp("cli")
     out = str(root / "run")
     cfg = _full_config(out)
@@ -110,6 +118,9 @@ def run(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arrkit.pipeline, "load_tick_csv", _refuse_csv)
         for verb in VERBS:
+            if verb == "analyze":
+                for name in ("load_panel", "load_autoencoder", "load_pca"):
+                    mp.setattr(arrkit.pipeline, name, _refuse_after_arr(name))
             rc, text, err = _run([verb, "--config", cfg_path])
             assert rc == 0, f"{verb} exited {rc}: {err}"
             stdout[verb] = text
@@ -232,7 +243,16 @@ def test_arr_outputs(run):
     for source in ("autoencoder", "pca"):
         expected.update(f"{source}_{freq}.csv" for freq in FREQ_NAMES)
         expected.add(f"{source}_5min_smoothed.csv")
-    assert set(os.listdir(arr_dir)) == expected | {"manifest.json"}
+    assert set(os.listdir(arr_dir)) == expected | {"manifest.json", "buckets.npz"}
+    with np.load(os.path.join(arr_dir, "buckets.npz"), allow_pickle=False) as buckets:
+        assert sorted(buckets.files) == [
+            "market_asset", "market_closes", "market_returns", "market_sq_returns", "returns",
+            "sq_error_autoencoder", "sq_error_pca", "sq_returns",
+        ]
+        assert str(buckets["market_asset"]) == "A01"
+        for name in buckets.files:
+            if name != "market_asset":
+                assert buckets[name].shape == (16, 78) and buckets[name].dtype == np.float64
 
     lines = _read_lines(os.path.join(arr_dir, "autoencoder_5min.csv"))
     assert lines[0] == "timestamp,arr,segment"
@@ -365,12 +385,66 @@ def test_report_outputs(run):
     block = report["reconstruction"]
     assert block["status"] == "ok"
     assert 0.0 <= block["p_value"] <= 1.0
-    # whole seconds: 4 test sessions of 23,399 one-second rows, and 45**3 < 93,596 <= 46**3
-    assert block["n_resamples"] == 500 and block["block_length"] == 46
+    # whole five-minute buckets: 4 test sessions of 78, and 6**3 < 312 <= 7**3
+    assert block["n_resamples"] == 500 and block["block_length"] == 7
     assert -1.0 < block["r2_autoencoder"] <= 1.0
     assert -1.0 < block["r2_pca"] <= 1.0
     assert set(report["forecast"]) == {"regression", "classification"}
     assert report["config_hash"] == report["stages"]["data"]["config_hash"]
+
+
+def test_report_r2_matches_r_squared_on_the_test_rows(run):
+    """The report scores R^2 from arr's five-minute bucket sums; the unexplained share
+    1 - R^2 matches `r_squared` on the test sessions' (seconds, assets) rows to 1e-12
+    relative."""
+    from arrkit.returns_metrics import log_returns
+    from arrkit.stats import r_squared
+
+    cfg, out = run["cfg"], run["out"]
+    with open(os.path.join(out, "report", "report.json"), "r", encoding="utf-8") as fh:
+        block = json.load(fh)["reconstruction"]
+    ticks, _ = arrkit.pipeline.load_panel(cfg, out)
+    test = log_returns(ticks.select_sessions(*cfg.splits.test), 1)
+    for source in ("autoencoder", "pca"):
+        predicted = arrkit.pipeline.reconstructor(source, out)(test).reconstructed
+        want = r_squared(test.returns, predicted)
+        assert abs(block[f"r2_{source}"] - want) <= 1e-12 * abs(1.0 - want), source
+
+
+@pytest.mark.parametrize("verb", ["analyze", "forecast", "report"])
+def test_later_stages_refuse_a_run_of_another_data_config(run, tmp_path, verb):
+    """The stages after arr read no panel, yet still refuse a run directory whose data
+    stage ran on another data config."""
+    out = tmp_path / "run"
+    shutil.copytree(run["out"], out)
+    cfg = run["cfg"]
+    other = dataclasses.replace(cfg, synthetic=dataclasses.replace(cfg.synthetic, seed=99))
+    rc, text, err = _run([verb, "--config", _save(other, str(tmp_path)), "--out", str(out)])
+    assert rc == 1 and text == ""
+    assert len(err.splitlines()) == 1
+    error = _error_payload(err)
+    assert error["type"] == "StageError"
+    assert "different data config" in error["message"]
+
+
+def test_forecast_with_no_crash_fails_each_classification_cell(run, tmp_path):
+    """With a crash threshold below every z-score no label is a crash, so no CV fold holds
+    both classes: forecast exits 0 with its regression cells ok and each classification
+    cell failed with that reason. The panel is not copied: forecast does not read it."""
+    out = tmp_path / "run"
+    shutil.copytree(run["out"], out, ignore=shutil.ignore_patterns("panel.npz"))
+    cfg = dataclasses.replace(run["cfg"], crash_threshold=-1e9)
+    argv = ["forecast", "--config", _save(cfg, str(tmp_path)), "--out", str(out), "--threads", "1"]
+    rc, _, err = _run(argv)
+    assert rc == 0, err
+    with open(out / "forecast" / "results.json", "r", encoding="utf-8") as fh:
+        cells = json.load(fh)["cells"]
+    assert {c["task"] for c in cells} == {"regression", "classification"}
+    for cell in cells:
+        if cell["task"] == "regression":
+            assert cell["status"] == "ok", cell
+        else:
+            assert (cell["status"], cell["reason"]) == ("failed", "no CV fold holds both classes")
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +777,7 @@ def test_quick_start_classification_folds_hold_both_classes(tmp_path, monkeypatc
     arrkit.pipeline.cmd_generate(cfg, out)
     arrkit.pipeline.cmd_train(cfg, out, threads=1)
     arrkit.pipeline.cmd_arr(cfg, out)
-    ticks, calendar = arrkit.pipeline.load_panel(cfg, out)
-    tasks = [t for t in arrkit.pipeline._forecast_tasks(cfg, ticks, calendar, out)
+    tasks = [t for t in arrkit.pipeline._forecast_tasks(cfg, *arrkit.pipeline.load_buckets(cfg, out))
              if t[1] == "classification"]
     assert {t[0] for t in tasks} == set(cfg.horizons)
     for horizon, _, _, splits, _, folds, _, _ in tasks:

@@ -19,11 +19,12 @@ from arrkit.returns_metrics import (
     crash_labels,
     drawdown,
     ewm_stats,
+    five_minute_closes,
     five_minute_sums,
     log_returns,
     realized_variance,
-    sample_price_series,
     session_five_minute_sums,
+    window_closes,
     window_sums,
     winsorize,
 )
@@ -76,7 +77,8 @@ def test_log_returns_skip_session_boundary(tiny_panel):
 def test_log_returns_window_is_price_ratio(tiny_panel):
     r = log_returns(tiny_panel, 1)
     _, hourly = window_sums(five_minute_sums(r.returns), r.opens, ONE_HOUR)
-    stamps, prices = sample_price_series(tiny_panel, ONE_HOUR, tiny_panel.asset_ids[0])
+    closes = five_minute_closes(tiny_panel.prices[:, 0], len(tiny_panel.opens))
+    stamps, prices = window_closes(closes, tiny_panel.opens, ONE_HOUR)
     open_price = tiny_panel.prices[0, 0]
     expected = np.log(prices[0] / open_price)
     assert hourly[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -346,8 +348,8 @@ def test_drawdown_hand_oracle():
 
 
 def test_drawdown_bounds(tiny_panel):
-    stamps, prices = sample_price_series(tiny_panel, 300, tiny_panel.asset_ids[1])
-    series = drawdown(stamps, prices)
+    closes = five_minute_closes(tiny_panel.prices[:, 1], len(tiny_panel.opens))
+    series = drawdown(*window_closes(closes, tiny_panel.opens, FIVE_MIN))
     assert np.all(series.values >= 0.0) and np.all(series.values < 1.0)
 
 

@@ -1,5 +1,6 @@
-"""The arr, analyze and forecast stages stream the panel one session at a time through
-five-minute sums: the same bytes as the whole-panel path, and memory flat in sessions."""
+"""The arr stage streams the panel one session at a time through five-minute sums, and the
+stages after it read those sums alone: the same bytes as the whole-panel path, and memory
+flat in sessions."""
 
 import os
 import subprocess
@@ -17,9 +18,8 @@ from arrkit.market_data import (
     ONE_WEEK,
     SESSION_SECONDS,
     TickPanel,
-    generate_synthetic_market,
 )
-from arrkit.returns_metrics import RiskSeries, log_returns, realized_variance
+from arrkit.returns_metrics import RiskSeries, drawdown, log_returns
 
 from conftest import comovement_config, traced_peak, whole_panel_window_sums
 
@@ -37,21 +37,6 @@ def _whole_panel_market_series(ticks, freq):
     stamps, rv = whole_panel_window_sums(col * col, base.opens, freq)
     keep = rv > 0.0
     return returns, RiskSeries(stamps[keep], np.log(rv[keep]), "log_rv")
-
-
-@pytest.mark.parametrize("composite", [False, True], ids=["plain", "composite"])
-def test_market_base_matches_the_whole_panel_oracle_bitwise(composite):
-    ticks = generate_synthetic_market(
-        comovement_config(n_assets=4, n_sessions=6, seed=21, market_composite=composite)
-    )
-    ret_fives, sq_fives = arrkit.pipeline._market_base(ticks)
-    for freq in (FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK):
-        want_returns, want_rv = _whole_panel_market_series(ticks, freq)
-        got_returns = arrkit.pipeline._market_returns(ret_fives, ticks.opens, freq)
-        got_rv = realized_variance(sq_fives, ticks.opens, freq)
-        for got, want in ((got_returns, want_returns), (got_rv, want_rv)):
-            assert np.array_equal(got.timestamps, want.timestamps)
-            assert got.values.tobytes() == want.values.tobytes()
 
 
 def _stage_config(out_dir, n_sessions, models="pca", composite=False, **kwargs):
@@ -138,27 +123,61 @@ def test_arr_files_equal_the_whole_panel_path_under_one_and_two_blas_threads(tmp
         assert done.stdout.strip() == '{"files": 10, "differ": []}', threads
 
 
+@pytest.mark.parametrize("composite", [False, True], ids=["plain", "composite"])
+def test_bucket_file_market_sums_and_closes_match_the_whole_panel_oracle_bitwise(tmp_path, composite):
+    """The market's five-minute sums in arr's buckets.npz give its windowed returns and log
+    RV bitwise as its whole one-second column does, and its five-minute closes give
+    drawdown the panel's price at every window edge, bitwise."""
+    out = str(tmp_path)
+    cfg = _stage_config(out, 6, composite=composite)
+    for stage in (arrkit.pipeline.cmd_generate, arrkit.pipeline.cmd_train, arrkit.pipeline.cmd_arr):
+        stage(cfg, out)
+    ticks, _ = arrkit.pipeline.load_panel(cfg, out)
+    buckets, _ = arrkit.pipeline.load_buckets(cfg, out)
+    assert str(buckets["market_asset"]) == ticks.asset_ids[0]
+    column = ticks.prices[:, 0]
+    for freq in (FIVE_MIN, ONE_HOUR, ONE_DAY, ONE_WEEK):
+        want_returns, want_rv = _whole_panel_market_series(ticks, freq)
+        # the price at or before each edge: an edge at the close takes the last second
+        sessions = np.searchsorted(ticks.opens, want_returns.timestamps, side="right") - 1
+        offsets = np.minimum(want_returns.timestamps - ticks.opens[sessions], SESSION_SECONDS - 1)
+        want_drawdown = drawdown(want_returns.timestamps, column[sessions * SESSION_SECONDS + offsets])
+        for metric, want in (("returns", want_returns), ("log_rv", want_rv), ("drawdown", want_drawdown)):
+            got = arrkit.pipeline._market_series(buckets, ticks.opens, metric, freq)
+            assert np.array_equal(got.timestamps, want.timestamps), (metric, freq)
+            assert got.values.tobytes() == want.values.tobytes(), (metric, freq)
+
+
 @pytest.mark.parametrize(
     "stage,sessions",
-    [("arr", (4, 16)), ("forecast", (8, 20))],
+    [("arr", (4, 16)), ("forecast", (8, 20)), ("analyze", (4, 16)), ("report", (8, 20))],
 )
 def test_stage_memory_beyond_its_prices_is_flat_in_sessions(tmp_path, stage, sessions):
-    """The stage's traced peak, less its loaded prices, grows by less than one session of
-    prices from the smaller panel to the larger. The forecast stage needs the 1-week
-    frequency and a full week before its first training row, so it starts at 8 sessions."""
+    """The stage's traced peak grows by less than one session of prices from the smaller
+    panel to the larger: arr's peak less the prices it loads, and the whole peak of each
+    later stage, which reads buckets.npz and no prices (analyze's KDE still holds about
+    1 KB a five-minute window). Forecast, and the report after it, need the 1-week
+    frequency and a full week before the first training row, so they start at 8
+    sessions; the report runs with both models, so that it scores its reconstruction
+    block."""
+    verbs = ("arr", "analyze", "forecast", "report")
     extra = []
     for n in sessions:
         out = str(tmp_path / f"s{n}")
         freqs = dict(frequencies=(FIVE_MIN, ONE_HOUR, ONE_DAY)) if n < 5 else {}
-        cfg = _stage_config(out, n, **freqs)
+        cfg = _stage_config(out, n, models="both" if stage == "report" else "pca", **freqs)
         arrkit.pipeline.cmd_generate(cfg, out)
         arrkit.pipeline.cmd_train(cfg, out, threads=1)
-        if stage == "arr":
-            run = lambda: arrkit.pipeline.cmd_arr(cfg, out)  # noqa: E731
-        else:
-            arrkit.pipeline.cmd_arr(cfg, out)
-            run = lambda: arrkit.pipeline.cmd_forecast(cfg, out, threads=1)  # noqa: E731
-        _, peak = traced_peak(run)
-        extra.append(peak - n * SESSION_SECONDS * cfg.synthetic.n_assets * 8)
+        runs = {
+            "arr": lambda: arrkit.pipeline.cmd_arr(cfg, out),
+            "analyze": lambda: arrkit.pipeline.cmd_analyze(cfg, out),
+            "forecast": lambda: arrkit.pipeline.cmd_forecast(cfg, out, threads=1),
+            "report": lambda: arrkit.pipeline.cmd_report(cfg, out),
+        }
+        for verb in verbs[: verbs.index(stage)]:
+            runs[verb]()
+        _, peak = traced_peak(runs[stage])
+        prices = n * SESSION_SECONDS * cfg.synthetic.n_assets * 8 if stage == "arr" else 0
+        extra.append(peak - prices)
     session_bytes = SESSION_SECONDS * cfg.synthetic.n_assets * 8
     assert abs(extra[1] - extra[0]) < session_bytes, (extra, session_bytes)

@@ -15,6 +15,7 @@ from arrkit.stats import (
     BootstrapResult,
     KdeGrid,
     auroc,
+    bucket_r2_bootstrap,
     kde2d,
     kde_mass,
     paired_bootstrap,
@@ -534,6 +535,52 @@ def test_bootstrap_r2_allocates_running_totals_and_one_row_by_width_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * n + 8 * n * width + 2**16
+
+
+def _buckets(y, a, b, sizes):
+    """Bucket sums of (rows, outputs) arrays cut into runs of `sizes` rows, the last
+    bucket holding what is left, and each bucket's rows."""
+    edges = np.cumsum(sizes)
+    rows = np.split(np.arange(len(y)), edges[edges < len(y)])
+    sums = [[((y[r] - p[r]) ** 2).sum() for r in rows] for p in (a, b)]
+    sums += [[y[r].sum() for r in rows], [(y[r] ** 2).sum() for r in rows], [y[r].size for r in rows]]
+    return sums, rows
+
+
+@pytest.mark.parametrize("sizes", [1, 3, [5, 1, 4, 2, 7]], ids=["rows", "threes", "uneven"])
+def test_bucket_r2_bootstrap_scores_the_rows_of_its_replayed_buckets(sizes):
+    """Both R^2 values are `r_squared` of all rows, and each resample is the R^2 difference
+    on the rows of the circular blocks of buckets that `paired_bootstrap` would draw over
+    as many rows: bucket cell counts may differ."""
+    rng = np.random.default_rng(27)
+    y = rng.normal(size=(61, 3)) + 0.2
+    a, b = y + rng.normal(size=y.shape), y + 1.2 * rng.normal(size=y.shape)
+    sums, rows = _buckets(y, a, b, np.resize(sizes, len(y)))
+    n = len(rows)
+    r2_a, r2_b, boot = bucket_r2_bootstrap(*sums, n_resamples=40, seed=3)
+    assert r2_a == pytest.approx(r_squared(y, a), rel=1e-12)
+    assert r2_b == pytest.approx(r_squared(y, b), rel=1e-12)
+    assert boot.observed_diff == r2_a - r2_b and boot.n_resamples == 40
+    draws, length = _replay_block_draws(3, n, 40)
+    assert boot.block_length == length
+    for starts, got in zip(draws, boot.samples):
+        gathered = np.concatenate([rows[i] for i in _block_rows(starts, n, length)])
+        want = r_squared(y[gathered], a[gathered]) - r_squared(y[gathered], b[gathered])
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+    if sizes == 1:  # one row a bucket: the row bootstrap's draws and verdict
+        row = paired_bootstrap(y, a, b, n_resamples=40, seed=3)
+        np.testing.assert_allclose(boot.samples, row.samples, rtol=1e-10)
+        assert boot.n_failing == row.n_failing and boot.block_length == row.block_length
+
+
+def test_bucket_r2_bootstrap_refuses_what_r_squared_cannot_score():
+    ones = np.ones(6)
+    with pytest.raises(ValueError, match="constant target"):
+        bucket_r2_bootstrap(ones, ones, 2 * ones, 2 * ones, 2 * ones)  # y = 1 in every cell
+    with pytest.raises(ValueError, match="non-finite"):
+        bucket_r2_bootstrap(ones, np.append(ones[:5], np.nan), np.arange(6.0), 9 * ones, ones)
+    with pytest.raises(ValueError, match="positive"):
+        bucket_r2_bootstrap(ones, ones, np.arange(6.0), 99 * ones, ones, n_resamples=0)
 
 
 def test_p_string_mid_range_formatting():
