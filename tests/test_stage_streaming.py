@@ -124,7 +124,7 @@ def test_arr_files_equal_the_whole_panel_path_under_one_and_two_blas_threads(tmp
 
 
 @pytest.mark.parametrize("composite", [False, True], ids=["plain", "composite"])
-def test_bucket_file_market_sums_and_closes_match_the_whole_panel_oracle_bitwise(tmp_path, composite):
+def test_market_base_matches_the_whole_panel_oracle_bitwise(tmp_path, composite):
     """The market's five-minute sums in arr's buckets.npz give its windowed returns and log
     RV bitwise as its whole one-second column does, and its five-minute closes give
     drawdown the panel's price at every window edge, bitwise."""
